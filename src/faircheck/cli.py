@@ -16,7 +16,6 @@ Exit codes: 0 all obligations passed, 1 some obligation failed,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from typing import Sequence
 
@@ -73,20 +72,13 @@ def _property_reports(model: ElaboratedModel, doc: ReportDocument) -> None:
             doc.add(check_unless(owner.system, prop.as_unless()), owner)
 
 
-def _refinement_reports(
-    model: ElaboratedModel,
-    pair_name: str,
-    doc: ReportDocument,
-    mode: str,
-    samples: int,
-    rng: random.Random,
-) -> None:
+def _refinement_reports(model: ElaboratedModel, pair_name: str, doc: ReportDocument) -> None:
     refinement = model.refinements[pair_name]
     pair = refinement.pair
     abstract = model.systems[refinement.abstract_name]
     concrete = refinement.concrete
 
-    simulation = check_all_event_refinements(pair, mode, samples, rng)
+    simulation = check_all_event_refinements(pair)
     for report in simulation:
         doc.add(report, witness_system=abstract)
     simulation_ok = all(r.passed for r in simulation)
@@ -98,8 +90,9 @@ def _refinement_reports(
     ]
     for prop in ensures_props:
         ens = prop.as_ensures()
-        abstract_ok = check_ensures(abstract.system, ens).passed
-        doc.add(check_sap(pair, ens), concrete)
+        abstract_report = check_ensures(abstract.system, ens)
+        sap = check_sap(pair, ens)
+        doc.add(sap, concrete)
         goal = lip_goal(pair, ens)
         verdict = semantic_leadsto(concrete.system, goal.lhs, goal.rhs)
         lasso = (
@@ -118,7 +111,7 @@ def _refinement_reports(
             concrete,
             lasso=lasso,
         )
-        if simulation_ok and abstract_ok:
+        if simulation_ok and abstract_report.passed:
             for report in derived_inclusions(pair, ens):
                 doc.add(report, concrete)
         else:
@@ -126,9 +119,8 @@ def _refinement_reports(
                 _skipped(f"DRV:{prop.name}", "gates failed; derived inclusions not run")
             )
         evidence = LipEvidence(goal, verdict.holds, "oracle")
-        doc.add(
-            check_refined_ensures(pair, ens, evidence, mode, samples, rng), concrete
-        )
+        gates = [abstract_report, *simulation, sap]
+        doc.add(check_refined_ensures(pair, ens, evidence, gates), concrete)
 
 
 def _skipped(rid: str, why: str) -> ReportEntry:
@@ -201,13 +193,6 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         p.add_argument("file")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--exhaustive",
-            action="store_true",
-            help="force exhaustive subset quantification in refinement checks",
-        )
 
     common(sub.add_parser("check", help="check all ensures and unless properties"))
     refine = sub.add_parser("refine", help="check one refinement pair")
@@ -222,8 +207,6 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     common(sub.add_parser("report", help="run every check and consolidate"))
 
     args = parser.parse_args(argv)
-    rng = random.Random(args.seed)
-    mode = "exhaustive" if args.exhaustive else "auto"
 
     try:
         model = _load(args.file, args.max_states)
@@ -233,7 +216,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         elif args.command == "refine":
             if args.pair not in model.refinements:
                 raise _CliError(f"unknown refinement pair {args.pair!r}")
-            _refinement_reports(model, args.pair, doc, mode, args.samples, rng)
+            _refinement_reports(model, args.pair, doc)
         elif args.command == "prove":
             if args.script not in model.scripts:
                 raise _CliError(f"unknown proof script {args.script!r}")
@@ -245,7 +228,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         elif args.command == "report":
             _property_reports(model, doc)
             for pair_name in model.refinements:
-                _refinement_reports(model, pair_name, doc, mode, args.samples, rng)
+                _refinement_reports(model, pair_name, doc)
             for script_name in model.scripts:
                 _script_report(model, script_name, doc)
             for prop in model.properties.values():

@@ -2,8 +2,9 @@
 
 On the finite powerset lattice ascending iteration from the empty set and
 descending iteration from the universe both stabilize within size+1 steps
-for monotone functions; the step budget is still generous so that a
-non-monotone input is detected rather than looping.
+for monotone functions: a strictly monotone chain of subsets has at most
+size+1 members. Iteration is capped at size+1 steps, so a non-monotone input
+that has not settled by then is reported rather than looped on.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class SetFunction:
 
 
 def _iterate_until_fixed(f: SetFunction, start: StateSet) -> StateSet:
-    budget = (1 << f.space.size) + 1
+    budget = f.space.size + 1
     current = start
     for _ in range(budget):
         nxt = f(current)

@@ -12,9 +12,8 @@ script or by the semantic oracle.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Iterable, Mapping
 
 from .commands import Command, Skip, choice_of, grd_of, str_apply
 from .obligations import (
@@ -104,22 +103,15 @@ def _simulation_gap(
     return lhs - rhs
 
 
-Mode = Literal["auto", "exhaustive", "sampled"]
-
-
-def check_event_refinement(
-    rp: RefinementPair,
-    concrete_label: str,
-    mode: Mode = "auto",
-    samples: int = 200,
-    rng: random.Random | None = None,
-) -> ObligationReport:
+def check_event_refinement(rp: RefinementPair, concrete_label: str) -> ObligationReport:
     """One concrete event simulates its abstract counterpart (skip for new
     events), universally over subsets of the concrete space.
 
-    Exhaustive below 13 concrete states; up to 18 the quantifier is covered
-    by singletons, their pairwise unions, the trivial sets and random
-    samples; beyond that an explicit sampled mode is required.
+    Both sides of the condition are conjunctive in the concrete subset: the
+    commands' str is, and so is the glued box. A subset other than the
+    universe is the intersection of the co-singletons it misses, so the
+    condition holds for every subset exactly when it holds at the universe
+    and at each co-singleton u - {t}.
     """
     if concrete_label not in rp.concrete.labels:
         raise ModelError(f"unknown concrete event {concrete_label!r}")
@@ -132,33 +124,10 @@ def check_event_refinement(
     rid = f"REF:{concrete_label}"
     refs = (concrete_label,) if target is None else (concrete_label, target)
 
-    n = v.size
-    if mode == "auto" and n > 18:
-        raise ModelError(
-            f"concrete space has {n} states; pass mode='sampled' beyond the 18-state gate"
-        )
-    exhaustive = mode == "exhaustive" or (mode == "auto" and n <= 12)
-    if exhaustive and n > 20:
-        raise ModelError(f"exhaustive subset check is infeasible for {n} states")
-
-    def subsets():
-        if exhaustive:
-            for mask in range(1 << n):
-                yield StateSet(v, mask)
-            return
-        yield v.empty()
-        yield v.universe()
-        singles = [v.singleton(i) for i in range(n)]
-        yield from singles
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield singles[i] | singles[j]
-        r = rng or random.Random(0)
-        for _ in range(samples):
-            yield StateSet(v, r.getrandbits(n))
-
+    universe = v.universe()
+    subsets = [universe] + [universe - v.singleton(t) for t in range(v.size)]
     witnesses: list[tuple[tuple[int, ...], int]] = []
-    for s in subsets():
+    for s in subsets:
         gap = _simulation_gap(rp, abstract_cmd, concrete_cmd, s)
         if not gap.is_empty():
             witnesses.append((s.members(), gap.members()[0]))
@@ -175,15 +144,8 @@ def check_event_refinement(
     )
 
 
-def check_all_event_refinements(
-    rp: RefinementPair,
-    mode: Mode = "auto",
-    samples: int = 200,
-    rng: random.Random | None = None,
-) -> list[ObligationReport]:
-    return [
-        check_event_refinement(rp, label, mode, samples, rng) for label in rp.concrete.labels
-    ]
+def check_all_event_refinements(rp: RefinementPair) -> list[ObligationReport]:
+    return [check_event_refinement(rp, label) for label in rp.concrete.labels]
 
 
 def derived_inclusions(rp: RefinementPair, prop: EnsuresProperty) -> list[ObligationReport]:
@@ -281,16 +243,15 @@ def check_refined_ensures(
     rp: RefinementPair,
     prop: EnsuresProperty,
     lip: LipEvidence | None,
-    mode: Mode = "auto",
-    samples: int = 200,
-    rng: random.Random | None = None,
+    gates: Iterable[ObligationReport],
 ) -> ObligationReport:
     """Certify preservation of an abstract ensures property.
 
-    Gates: the abstract property passed, every event simulation passed, the
-    safety obligation passed, and the liveness goal is discharged. A missing
-    gate yields hypothesis-failed. On success the concrete ensures property
-    and the concrete leads-to are both re-verified semantically.
+    `gates` holds the reports the caller already computed: the abstract
+    `ENS:<p>`, every `REF:<label>` of the pair and `SAP:<p>`. A failing or
+    missing gate, or missing liveness evidence, yields hypothesis-failed.
+    On success the concrete ensures property and the concrete leads-to are
+    both re-verified semantically.
     """
     rid = f"RENS:{prop.name}"
     refs = (prop.name,)
@@ -298,15 +259,19 @@ def check_refined_ensures(
     def blocked(reason: str, witnesses: tuple = ()) -> ObligationReport:
         return ObligationReport(rid, "hypothesis-failed", witnesses, reason, refs)
 
-    abstract_report = check_ensures(rp.abstract, prop)
-    if not abstract_report.passed:
-        return blocked(f"abstract property failed: {abstract_report.narrative}")
-    for report in check_all_event_refinements(rp, mode, samples, rng):
-        if not report.passed:
-            return blocked(f"event refinement failed: {report.id}", report.witnesses)
-    sap = check_sap(rp, prop)
-    if not sap.passed:
-        return blocked("safety preservation failed", sap.witnesses)
+    by_id = {report.id: report for report in gates}
+    ens_id, sap_id = f"ENS:{prop.name}", f"SAP:{prop.name}"
+    for gid in (ens_id, *(f"REF:{label}" for label in rp.concrete.labels), sap_id):
+        report = by_id.get(gid)
+        if report is None:
+            return blocked(f"gate {gid} was not checked")
+        if report.passed:
+            continue
+        if gid == ens_id:
+            return blocked(f"abstract property failed: {report.narrative}")
+        if gid == sap_id:
+            return blocked("safety preservation failed", report.witnesses)
+        return blocked(f"event refinement failed: {gid}", report.witnesses)
     goal = lip_goal(rp, prop)
     if lip is None:
         return blocked("liveness preservation goal has no evidence")

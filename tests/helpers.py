@@ -2,8 +2,10 @@
 
 The reference computations here deliberately avoid the code paths they
 check: the structural weakest precondition recursion never uses the pairing
-identity, and the fair-avoidance decision enumerates candidate components
-as raw subsets instead of running the engine's SCC pass.
+identity, the fair-avoidance decision enumerates candidate components
+as raw subsets instead of running the engine's SCC pass, and the refinement
+simulation reference quantifies over every concrete subset using the raw
+gluing pairs.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from faircheck import (
     EnsuresProperty,
     EventSystem,
     Guard,
+    ObligationReport,
     Precond,
     Prim,
     RefinementPair,
@@ -27,6 +30,9 @@ from faircheck import (
     StateRelation,
     StateSet,
     StateSpace,
+    check_all_event_refinements,
+    check_ensures,
+    check_sap,
     grd_of,
     split_system,
     str_apply,
@@ -318,6 +324,47 @@ def bounded_fair_lasso_exists(
         if walk([(start, None)]):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive refinement simulation reference (every concrete subset)
+# ---------------------------------------------------------------------------
+
+
+def exhaustive_simulation_gaps(
+    pair: RefinementPair, concrete_label: str
+) -> set[tuple[tuple[int, ...], int]]:
+    """Every (concrete subset members, abstract state) at which the
+    simulation condition of one concrete event fails, over all 2^n concrete
+    subsets. The glued box is computed from the raw gluing pairs and both
+    transformers by `structural_wp`, so events must be fair-choice-free."""
+    v, u = pair.concrete.space, pair.abstract.space
+    target = pair.refines[concrete_label]
+    abstract_cmd = Skip(u) if target is None else pair.abstract.events[target]
+    concrete_cmd = pair.concrete.events[concrete_label]
+    glued = {x: {y for y, x2 in pair.gluing.pairs if x2 == x} for x in range(u.size)}
+
+    def box(s: StateSet) -> StateSet:
+        inside = set(s.members())
+        return u.subset(x for x in range(u.size) if glued[x] <= inside)
+
+    gaps: set[tuple[tuple[int, ...], int]] = set()
+    for mask in range(1 << v.size):
+        s = StateSet(v, mask)
+        lhs = structural_wp(abstract_cmd, box(s))
+        rhs = box(structural_wp(concrete_cmd, s))
+        gaps.update((s.members(), x) for x in (lhs - rhs).members())
+    return gaps
+
+
+def refinement_gates(pair: RefinementPair, prop: EnsuresProperty) -> list[ObligationReport]:
+    """The gate reports `check_refined_ensures` reads: the abstract ensures
+    check, every event simulation and safety preservation."""
+    return [
+        check_ensures(pair.abstract, prop),
+        *check_all_event_refinements(pair),
+        check_sap(pair, prop),
+    ]
 
 
 # ---------------------------------------------------------------------------

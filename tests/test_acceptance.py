@@ -61,6 +61,7 @@ from helpers import (
     random_command,
     random_subset,
     random_system,
+    refinement_gates,
     split_refinement,
 )
 
@@ -290,14 +291,14 @@ def test_criterion_07_refinement_soundness():
         ):
             continue
         pair, _ = split_refinement(rng, gsys)
-        if not all(r.passed for r in check_all_event_refinements(pair, mode="exhaustive")):
+        if not all(r.passed for r in check_all_event_refinements(pair)):
             continue
         if not check_sap(pair, prop).passed:
             continue
         evidence = discharge_lip_with_oracle(pair, prop)
         if not evidence.holds:
             continue
-        report = check_refined_ensures(pair, prop, evidence, mode="exhaustive")
+        report = check_refined_ensures(pair, prop, evidence, refinement_gates(pair, prop))
         p2, q2 = pair.concrete_of(prop.p), pair.concrete_of(prop.q)
         confirmed = semantic_leadsto(pair.concrete, p2, q2).holds
         if not (report.passed and confirmed):
@@ -318,10 +319,11 @@ def test_criterion_07_refinement_soundness():
     gluing = StateRelation(v, space, [(0, 0), (1, 1), (2, 1), (3, 2), (4, 3)])
     bad = RefinementPair(abstract, concrete, gluing, {"inc2": "inc", "done2": "done", "tick": None})
     sap = check_sap(bad, aprop)
+    evidence = discharge_lip_with_oracle(bad, aprop)
     rejected = (
         sap.verdict == "fail"
         and len(sap.witnesses) > 0
-        and check_refined_ensures(bad, aprop, discharge_lip_with_oracle(bad, aprop)).verdict
+        and check_refined_ensures(bad, aprop, evidence, refinement_gates(bad, aprop)).verdict
         == "hypothesis-failed"
     )
     _report(

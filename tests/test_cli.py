@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from faircheck import cli, refinement
 from faircheck.cli import run_cli
 from faircheck.reports import validate_report
 
@@ -36,12 +40,6 @@ def test_refine_fixture_passes(capsys):
     assert code == 0
     for rid in ("REF:inc2", "REF:done2", "REF:tick", "SAP:P1", "LIP-goal:P1", "RENS:P1"):
         assert rid in out
-
-
-def test_refine_exhaustive_flag(capsys):
-    code, out = _run(capsys, "refine", CTR, "--pair", "ctr2", "--exhaustive")
-    assert code == 0
-    assert "REF:done2" in out
 
 
 def test_prove_and_oracle_pass(capsys):
@@ -122,7 +120,7 @@ def test_max_states_flag(capsys, tmp_path):
     assert run_cli(["check", str(model), "--max-states", "20000"]) == 0
 
 
-def test_refine_size_gate_maps_to_exit_2(capsys, tmp_path):
+def test_refine_19_concrete_states_is_checked_exactly(capsys, tmp_path):
     lines = ["system big", " var x : 0..18"]
     lines.append(" event spin when true then x := x end")
     lines.append("end")
@@ -133,10 +131,73 @@ def test_refine_size_gate_maps_to_exit_2(capsys, tmp_path):
     lines.append("end")
     model = tmp_path / "big.fb"
     model.write_text("\n".join(lines) + "\n")
-    # 19 concrete states exceed the automatic quantification gate
-    assert run_cli(["refine", str(model), "--pair", "big2"]) == 2
-    err = capsys.readouterr().err
-    assert "sampled" in err
+    code, out = _run(capsys, "refine", str(model), "--pair", "big2")
+    assert code == 0
+    assert "REF:spin2                    pass" in out
+
+
+def test_refine_hidden_block_escape_fails(capsys, tmp_path):
+    # go2 leaves y=0 for y=18, glued to x=2, while go always reaches x=0;
+    # only subsets holding all of y=1..17 and missing y=18 expose it
+    lines = ["system hb", " var x : 0..2"]
+    lines.append(" event go when true then x := 0 end")
+    lines.append("end")
+    lines.append("refinement hb2 refines hb")
+    lines.append(" var y : 0..18")
+    lines.append(
+        " gluing (y = 0 and x = 1) or (y > 0 and y < 18 and x = 0) or (y = 18 and x = 2)"
+    )
+    lines.append(" event go2 refines go when y = 0 then y := 18 end")
+    lines.append("end")
+    model = tmp_path / "hb.fb"
+    model.write_text("\n".join(lines) + "\n")
+    code, out = _run(capsys, "refine", str(model), "--pair", "hb2", "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert validate_report(data) == []
+    ref = next(o for o in data["obligations"] if o["id"] == "REF:go2")
+    assert ref["verdict"] == "fail"
+    assert ref["witnesses"] == [{"state": "x=1", "bindings": {"x": 1}}]
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--samples", "50"], ["--seed", "3"], ["--exhaustive"]],
+    ids=["samples", "seed", "exhaustive"],
+)
+def test_removed_quantifier_flags_are_usage_errors(capsys, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["refine", CTR, "--pair", "ctr2", *flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_refine_computes_each_gate_once(capsys, monkeypatch):
+    events, saps, abstract_ens = Counter(), Counter(), Counter()
+
+    def counting(module, name, tally, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            tally[key(*args)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(refinement, "check_event_refinement", events, lambda rp, label: label)
+    for module in (cli, refinement):
+        counting(module, "check_sap", saps, lambda rp, prop: prop.name)
+        counting(
+            module,
+            "check_ensures",
+            abstract_ens,
+            lambda system, prop: prop.name if system.space.id == "ctr" else None,
+        )
+    code, _ = _run(capsys, "refine", CTR, "--pair", "ctr2")
+    assert code == 0
+    assert events == {"inc2": 1, "done2": 1, "tick": 1}
+    assert saps == {"P1": 1}
+    assert abstract_ens["P1"] == 1
 
 
 def test_witness_bindings_in_json(capsys):

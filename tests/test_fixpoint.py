@@ -113,6 +113,18 @@ def test_non_monotone_input_is_detected():
         gfp(flip)
 
 
+def test_non_monotone_detection_is_linear_in_size():
+    # with a 2^size budget this would iterate ~10^12 times before giving up
+    space = StateSpace("u", 40)
+    calls = []
+    flip = SetFunction(space, lambda x: calls.append(x) or x.complement())
+    for fixpoint in (lfp, gfp):
+        calls.clear()
+        with pytest.raises(NonMonotoneFunctionError):
+            fixpoint(flip)
+        assert len(calls) == space.size + 1
+
+
 def test_monotone_check_exhaustive_and_witness():
     space = StateSpace("u", 4)
     ident = SetFunction(space, lambda x: x)
