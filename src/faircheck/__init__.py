@@ -46,6 +46,7 @@ from .fixpoint import (
     monotone_check,
 )
 from .obligations import (
+    EngineDefect,
     EnsuresProperty,
     EventSystem,
     ModelError,

@@ -23,6 +23,7 @@ from . import __version__
 from .elaborator import (
     DEFAULT_MAX_STATES,
     ElaboratedModel,
+    ElaboratedProperty,
     ElaborationError,
     elaborate,
 )
@@ -60,19 +61,37 @@ def _load(path: str, max_states: int) -> ElaboratedModel:
         raise _CliError(f"{path}: {err}") from err
 
 
-def _property_reports(model: ElaboratedModel, doc: ReportDocument) -> None:
+def _ensures_report(
+    model: ElaboratedModel, prop: ElaboratedProperty, ensures: dict[str, ObligationReport]
+) -> ObligationReport:
+    """The ENS:<p> report of one ensures property, checked at most once per
+    run: `ensures` holds the reports computed so far, by property name."""
+    if prop.name not in ensures:
+        owner = model.owner(prop.source)
+        ensures[prop.name] = check_ensures(owner.system, prop.as_ensures())
+    return ensures[prop.name]
+
+
+def _property_reports(
+    model: ElaboratedModel, doc: ReportDocument, ensures: dict[str, ObligationReport]
+) -> None:
     for prop in model.properties.values():
         owner = model.owner(prop.source)
         if prop.kind == "ensures":
             ens = prop.as_ensures()
             doc.add(check_wf0(owner.system, ens), owner)
             doc.add(check_wf1(owner.system, ens), owner)
-            doc.add(check_ensures(owner.system, ens), owner)
+            doc.add(_ensures_report(model, prop, ensures), owner)
         elif prop.kind == "unless":
             doc.add(check_unless(owner.system, prop.as_unless()), owner)
 
 
-def _refinement_reports(model: ElaboratedModel, pair_name: str, doc: ReportDocument) -> None:
+def _refinement_reports(
+    model: ElaboratedModel,
+    pair_name: str,
+    doc: ReportDocument,
+    ensures: dict[str, ObligationReport],
+) -> None:
     refinement = model.refinements[pair_name]
     pair = refinement.pair
     abstract = model.systems[refinement.abstract_name]
@@ -90,7 +109,7 @@ def _refinement_reports(model: ElaboratedModel, pair_name: str, doc: ReportDocum
     ]
     for prop in ensures_props:
         ens = prop.as_ensures()
-        abstract_report = check_ensures(abstract.system, ens)
+        abstract_report = _ensures_report(model, prop, ensures)
         sap = check_sap(pair, ens)
         doc.add(sap, concrete)
         goal = lip_goal(pair, ens)
@@ -127,7 +146,11 @@ def _skipped(rid: str, why: str) -> ReportEntry:
     return ReportEntry(rid, "hypothesis-failed", narrative=why)
 
 
-def _script_env(model: ElaboratedModel, source: str) -> ScriptEnv:
+def _script_env(
+    model: ElaboratedModel, source: str, ensures: dict[str, ObligationReport]
+) -> ScriptEnv:
+    """The premises of `source`; ensures verdicts already in `ensures` seed
+    the gate, so a brl step does not check them again."""
     owner = model.owner(source)
     env = ScriptEnv(owner.system)
     for prop in model.properties.values():
@@ -135,14 +158,18 @@ def _script_env(model: ElaboratedModel, source: str) -> ScriptEnv:
             continue
         if prop.kind == "ensures":
             env.ensures[prop.name] = prop.as_ensures()
+            if prop.name in ensures:
+                env.ensures_gate[prop.name] = ensures[prop.name].passed
         elif prop.kind == "unless":
             env.unless[prop.name] = prop.as_unless()
     return env
 
 
-def _script_report(model: ElaboratedModel, name: str, doc: ReportDocument) -> None:
+def _script_report(
+    model: ElaboratedModel, name: str, doc: ReportDocument, ensures: dict[str, ObligationReport]
+) -> None:
     script = model.scripts[name]
-    env = _script_env(model, script.source)
+    env = _script_env(model, script.source, ensures)
     env.ensures.update(script.extra_ensures)
     goal = model.properties[script.goal].as_leadsto()
     outcome = check_script(env, script.script, goal)
@@ -211,26 +238,27 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     try:
         model = _load(args.file, args.max_states)
         doc = ReportDocument(model=args.file)
+        ensures: dict[str, ObligationReport] = {}
         if args.command == "check":
-            _property_reports(model, doc)
+            _property_reports(model, doc, ensures)
         elif args.command == "refine":
             if args.pair not in model.refinements:
                 raise _CliError(f"unknown refinement pair {args.pair!r}")
-            _refinement_reports(model, args.pair, doc)
+            _refinement_reports(model, args.pair, doc, ensures)
         elif args.command == "prove":
             if args.script not in model.scripts:
                 raise _CliError(f"unknown proof script {args.script!r}")
-            _script_report(model, args.script, doc)
+            _script_report(model, args.script, doc, ensures)
         elif args.command == "oracle":
             if args.property not in model.properties:
                 raise _CliError(f"unknown property {args.property!r}")
             _oracle_report(model, args.property, doc)
         elif args.command == "report":
-            _property_reports(model, doc)
+            _property_reports(model, doc, ensures)
             for pair_name in model.refinements:
-                _refinement_reports(model, pair_name, doc)
+                _refinement_reports(model, pair_name, doc, ensures)
             for script_name in model.scripts:
-                _script_report(model, script_name, doc)
+                _script_report(model, script_name, doc, ensures)
             for prop in model.properties.values():
                 if prop.kind == "leadsto":
                     _oracle_report(model, prop.name, doc)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .commands import Command, Guard, Prim, conjunctivity_check
-from .obligations import EnsuresProperty, EventSystem, ModelError
+from .obligations import EngineDefect, EnsuresProperty, EventSystem, ModelError
 from .parser import (
     EBin,
     EInt,
@@ -283,8 +283,8 @@ def _elaborate_events(
                 pairs.append((i, index_of[key]))
         guard = space.subset(guard_members)
         command = Guard(guard, Prim(StateRelation(space, space, pairs)))
-        health = conjunctivity_check(command, samples=16)
-        assert health.ok, f"{context}: elaborated event is not conjunctive (engine defect)"
+        if not conjunctivity_check(command, samples=16).ok:
+            raise EngineDefect(f"{context}: elaborated event is not conjunctive")
         out[decl.name] = command
     return out
 

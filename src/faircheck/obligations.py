@@ -21,6 +21,13 @@ class ModelError(Exception):
     """A system, property or refinement pair violates a structural invariant."""
 
 
+class EngineDefect(Exception):
+    """An engine self-check failed: a fact that holds by construction did not.
+
+    Raised instead of `assert` so the checks also run under `python -O`.
+    """
+
+
 class EventSystem:
     """An ordered family of named events over one space."""
 
@@ -157,8 +164,9 @@ def check_ensures(sys: EventSystem, prop: EnsuresProperty) -> ObligationReport:
     helpful, rest = split_system(sys, prop.helpful)
     loop = FairLoop(prop.q, helpful, rest)
     conclusion = check_total_correctness(loop, prop.p)
-    assert conclusion.passed, (
-        f"ensures {prop.name!r} passed WF0/WF1 but the fair-loop conclusion "
-        f"failed ({conclusion.verdict}); this is an engine defect"
-    )
+    if not conclusion.passed:
+        raise EngineDefect(
+            f"ensures {prop.name!r} passed WF0/WF1 but the fair-loop conclusion "
+            f"failed ({conclusion.verdict})"
+        )
     return ObligationReport(f"ENS:{prop.name}", "pass", refs=(prop.name,))

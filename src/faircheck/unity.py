@@ -19,9 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .commands import grd_of, transition_relation
-from .obligations import EnsuresProperty, EventSystem, ObligationReport, check_ensures
-from .sets import SpaceMismatchError, StateSet
+from .commands import Command, Guard, Prim, grd_of, transition_relation
+from .obligations import (
+    EngineDefect,
+    EnsuresProperty,
+    EventSystem,
+    ObligationReport,
+    check_ensures,
+)
+from .sets import SpaceMismatchError, StateRelation, StateSet
 
 # ---------------------------------------------------------------------------
 # Property objects
@@ -115,23 +121,27 @@ class ProofScript:
 
 @dataclass
 class ScriptEnv:
-    """Named premises a script may draw on, plus the system it runs over."""
+    """Named premises a script may draw on, plus the system it runs over.
+
+    The gates memoise each premise's verdict; a caller that has already
+    checked a premise on this system may enter its verdict in advance.
+    """
 
     system: EventSystem
     ensures: dict[str, EnsuresProperty] = field(default_factory=dict)
     unless: dict[str, Unless] = field(default_factory=dict)
-    _ensures_gate: dict[str, bool] = field(default_factory=dict)
-    _unless_gate: dict[str, bool] = field(default_factory=dict)
+    ensures_gate: dict[str, bool] = field(default_factory=dict)
+    unless_gate: dict[str, bool] = field(default_factory=dict)
 
     def ensures_passed(self, name: str) -> bool:
-        if name not in self._ensures_gate:
-            self._ensures_gate[name] = check_ensures(self.system, self.ensures[name]).passed
-        return self._ensures_gate[name]
+        if name not in self.ensures_gate:
+            self.ensures_gate[name] = check_ensures(self.system, self.ensures[name]).passed
+        return self.ensures_gate[name]
 
     def unless_passed(self, name: str) -> bool:
-        if name not in self._unless_gate:
-            self._unless_gate[name] = check_unless(self.system, self.unless[name]).passed
-        return self._unless_gate[name]
+        if name not in self.unless_gate:
+            self.unless_gate[name] = check_unless(self.system, self.unless[name]).passed
+        return self.unless_gate[name]
 
 
 def apply_rule(
@@ -295,32 +305,39 @@ class FairLasso:
     justifications: tuple[tuple[str, str, object], ...]  # (label, kind, witness)
 
     def validate(self, sys: EventSystem, p: StateSet, q: StateSet) -> None:
+        """Check the lasso against the transformer-derived relation of every
+        event; raises EngineDefect on the first violated condition."""
         rels = {label: transition_relation(cmd) for label, cmd in sys.events.items()}
+
+        def require(ok: bool, message: str) -> None:
+            if not ok:
+                raise EngineDefect(f"invalid lasso: {message}")
 
         def connected(a: int, b: int) -> bool:
             return any(rel.successors_mask(a) >> b & 1 for rel in rels.values())
 
-        assert self.cycle, "cycle must be nonempty"
+        require(bool(self.cycle), "cycle must be nonempty")
         walk = list(self.stem) + list(self.cycle)
-        start = walk[0]
-        assert start in p, "lasso must start in the left set"
+        require(walk[0] in p, "lasso must start in the left set")
         for x in walk:
-            assert x not in q, "lasso must avoid the right set"
+            require(x not in q, "lasso must avoid the right set")
         for a, b in zip(walk, walk[1:]):
-            assert connected(a, b), f"no event connects {a} to {b}"
-        assert connected(self.cycle[-1], self.cycle[0]), "cycle does not close"
+            require(connected(a, b), f"no event connects {a} to {b}")
+        require(connected(self.cycle[-1], self.cycle[0]), "cycle does not close")
         covered = {label for label, _, _ in self.justifications}
-        assert covered == set(sys.labels), "justifications must cover every event"
+        require(covered == set(sys.labels), "justifications must cover every event")
+        pairs = list(zip(self.cycle, self.cycle[1:])) + [(self.cycle[-1], self.cycle[0])]
         for label, kind, witness in self.justifications:
-            grd = grd_of(sys.events[label])
             if kind == "disabled":
-                assert witness in self.cycle and witness not in grd
-            else:
-                assert kind == "taken"
-                s, t = witness
-                pairs = list(zip(self.cycle, self.cycle[1:])) + [(self.cycle[-1], self.cycle[0])]
-                assert (s, t) in pairs, "taken transition must appear in the cycle"
-                assert rels[label].successors_mask(s) >> t & 1, "transition not in the event"
+                require(
+                    witness in self.cycle and witness not in grd_of(sys.events[label]),
+                    f"{label} is not disabled at {witness} on the cycle",
+                )
+                continue
+            require(kind == "taken", f"unknown justification kind {kind!r}")
+            s, t = witness  # type: ignore[misc]
+            require((s, t) in pairs, "taken transition must appear in the cycle")
+            require(bool(rels[label].successors_mask(s) >> t & 1), "transition not in the event")
 
 
 @dataclass(frozen=True)
@@ -399,15 +416,46 @@ def _tarjan_sccs(nodes: list[int], adj: Mapping[int, list[int]]) -> list[list[in
     return sccs
 
 
+def _event_edges(cmd: Command) -> tuple[StateSet, StateRelation]:
+    """One event as (guard, relation): the event moves from x to the
+    relation's successors of x when x is in the guard, and is enabled at x
+    when there is at least one such successor.
+
+    The elaborator builds every event as Guard(g, Prim(rel)), read straight
+    off the event; its enabled set g & dom(rel) is grd_of of that command. A
+    bare Prim(rel) reads the same way with g = u. Any other command is an
+    arbitrary AST: its guard and relation are extracted through the
+    transformers (grd_of and transition_relation), the only exact general
+    method. That relation has successors exactly on grd_of, because str
+    distributes over the nonempty meet of the co-singletons u - {t}.
+    """
+    if isinstance(cmd, Guard) and isinstance(cmd.body, Prim):
+        return cmd.guard, cmd.body.rel
+    if isinstance(cmd, Prim):
+        return cmd.space.universe(), cmd.rel
+    return grd_of(cmd), transition_relation(cmd)
+
+
 def semantic_leadsto(sys: EventSystem, p: StateSet, q: StateSet) -> OracleResult:
     """Does every weakly fair execution from p reach q?
 
     This is the kit's independent oracle; it never consults the rule system
-    or the fixpoint machinery. It restricts the transition graph to the
-    complement of q, and looks for either a reachable deadlock or a
-    reachable strongly connected component in which every event is disabled
-    at some state or has a transition staying inside the component. Either
-    finding refutes the property and is returned as a concrete witness.
+    or the fixpoint machinery, and it reads the edges and guards of
+    elaborated events directly (`_event_edges`). It restricts the
+    transition graph to the complement of q, and looks for either a
+    reachable deadlock or a reachable strongly connected component in which
+    every event is disabled at some state or has a transition staying inside
+    the component. Either finding refutes the property and is returned as a
+    concrete witness. It makes a number of mask operations linear in the
+    reachable states and edges.
+
+    Testing the maximal components suffices under weak fairness, with no
+    Emerson-Lei-style recursive decomposition. An avoiding fair run ends up
+    cycling through some strongly connected set C, and each event is either
+    disabled at a state of C or taken on an edge inside C. Both witnesses
+    survive when C grows to the maximal component containing it, so that
+    component is fair whenever any of its sub-components is. (Strong
+    fairness lacks this: "enabled somewhere" grows with the component.)
     """
     if not p.space.same_as(sys.space) or not q.space.same_as(sys.space):
         raise SpaceMismatchError(p.space, sys.space)
@@ -416,27 +464,38 @@ def semantic_leadsto(sys: EventSystem, p: StateSet, q: StateSet) -> OracleResult
         return OracleResult(True)
 
     labels = list(sys.labels)
-    rels = {label: transition_relation(sys.events[label]) for label in labels}
-    enabled = {label: grd_of(sys.events[label]) for label in labels}
+    rows = []
+    for label in labels:
+        guard, rel = _event_edges(sys.events[label])
+        rows.append((label, guard.mask, rel.successors_mask))
     avoid_mask = q.complement().mask
 
-    def avoid_succs(x: int) -> dict[str, list[int]]:
-        out: dict[str, list[int]] = {}
-        for label in labels:
-            m = rels[label].successors_mask(x) & avoid_mask
-            if m:
-                out[label] = [t for t in range(sys.space.size) if m >> t & 1]
-        return out
-
-    # reachable part of the q-avoiding graph
+    # reachable part of the q-avoiding graph; per state, the enabled events
+    # and each event's avoiding successors in ascending order
     adj: dict[int, list[int]] = {}
     by_label: dict[int, dict[str, list[int]]] = {}
+    enabled: dict[int, set[str]] = {}
     frontier = list(start.members())
     seen = set(frontier)
     while frontier:
         x = frontier.pop()
-        outs = avoid_succs(x)
+        outs: dict[str, list[int]] = {}
+        here: set[str] = set()
+        for label, guard_mask, succ in rows:
+            if not guard_mask >> x & 1:
+                continue
+            m = succ(x)
+            if m:
+                here.add(label)
+                m &= avoid_mask
+            if m:
+                targets = outs[label] = []
+                while m:
+                    low = m & -m
+                    targets.append(low.bit_length() - 1)
+                    m ^= low
         by_label[x] = outs
+        enabled[x] = here
         merged = sorted({t for ts in outs.values() for t in ts})
         adj[x] = merged
         for t in merged:
@@ -448,7 +507,7 @@ def semantic_leadsto(sys: EventSystem, p: StateSet, q: StateSet) -> OracleResult
 
     # a reachable state where no event is enabled stops the run short of q
     for x in nodes:
-        if all(x not in enabled[label] for label in labels):
+        if not enabled[x]:
             path = _bfs_path(adj, sorted(start.members()), x)
             return OracleResult(False, deadlock_path=tuple(path))
 
@@ -462,7 +521,7 @@ def semantic_leadsto(sys: EventSystem, p: StateSet, q: StateSet) -> OracleResult
         justification: list[tuple[str, str, object]] = []
         feasible = True
         for label in labels:
-            disabled_at = [x for x in comp if x not in enabled[label]]
+            disabled_at = [x for x in comp if label not in enabled[x]]
             if disabled_at:
                 justification.append((label, "disabled", disabled_at[0]))
                 continue

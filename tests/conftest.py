@@ -4,6 +4,10 @@ from types import SimpleNamespace
 
 import pytest
 
+# helpers.py holds reference checks; rewrite its asserts so they also run
+# under `python -O`, like those of the test modules
+pytest.register_assert_rewrite("helpers")
+
 from faircheck import (
     EnsuresProperty,
     EventSystem,

@@ -198,6 +198,34 @@ def has_dovetail(c: Command) -> bool:
     return False
 
 
+def ast_system(rng: random.Random, size: int, n_events: int, space_id: str = "u") -> GenSystem:
+    """A system whose events are total, fair-choice-free AST commands
+    (a choice or a sequence of random subcommands), with raw guards and
+    relations derived from `structural_wp`: t is a successor of x iff x
+    cannot establish u - {t}, and x is enabled iff it cannot establish the
+    empty set."""
+    space = StateSpace(space_id, size)
+    events: dict[str, Command] = {}
+    guards: dict[str, StateSet] = {}
+    rels: dict[str, StateRelation] = {}
+    for i in range(n_events):
+        label = f"e{i}"
+        sub = lambda: random_command(rng, space, 2, total_only=True, allow_dovetail=False)
+        cmd = Choice(sub(), sub()) if rng.random() < 0.5 else Seq(sub(), sub())
+        events[label] = cmd
+        guards[label] = structural_wp(cmd, space.empty()).complement()
+        rels[label] = StateRelation(
+            space,
+            space,
+            [
+                (x, t)
+                for t in range(size)
+                for x in structural_wp(cmd, space.singleton(t).complement()).complement()
+            ],
+        )
+    return GenSystem(EventSystem(space, events), guards, rels)
+
+
 # ---------------------------------------------------------------------------
 # Independent fair-avoidance decision (subset enumeration)
 # ---------------------------------------------------------------------------
@@ -247,6 +275,17 @@ def fair_avoidance_exists(gsys: GenSystem, p: StateSet, q: StateSet) -> bool:
             if all(_event_fair_in(gsys, label, cset) for label in labels):
                 return True
     return False
+
+
+def check_deadlock_path(gsys: GenSystem, p: StateSet, q: StateSet, path: tuple[int, ...]) -> None:
+    """A deadlock path starts in p - q, avoids q, moves along an edge of
+    some enabled event at every step, and ends where no event is enabled."""
+    labels = gsys.system.labels
+    assert path and path[0] in p and path[0] not in q
+    assert all(x not in q for x in path)
+    for a, b in zip(path, path[1:]):
+        assert any(gsys.enabled(l, a) and b in gsys.successors(l, a) for l in labels)
+    assert not any(gsys.enabled(l, path[-1]) for l in labels)
 
 
 def _strongly_connected_with_edge(cset: set[int], succ: dict[int, set[int]]) -> bool:

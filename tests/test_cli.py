@@ -206,3 +206,39 @@ def test_witness_bindings_in_json(capsys):
     data = json.loads(out)
     wf0 = next(o for o in data["obligations"] if o["id"] == "WF0:P1")
     assert wf0["witnesses"] == [{"state": "x=2", "bindings": {"x": 2}}]
+
+
+def test_report_checks_each_ensures_property_once(capsys, monkeypatch):
+    from faircheck import unity
+
+    checked = Counter()
+    original = cli.check_ensures
+
+    def counting(system, prop):
+        checked[system.space.id, prop.name] += 1
+        return original(system, prop)
+
+    for module in (cli, refinement, unity):
+        monkeypatch.setattr(module, "check_ensures", counting)
+    code, _ = _run(capsys, "report", CTR)
+    assert code == 0
+    assert {("ctr", "P1"), ("ctr2", "E_stutter"), ("ctr2", "E_help")} <= set(checked)
+    assert set(checked.values()) == {1}
+
+
+def test_report_is_the_concatenation_of_its_subcommands(capsys):
+    # each subcommand checks its gates afresh; report reuses them, and must
+    # still render every obligation exactly as the subcommands do
+    def obligations(*args: str) -> list:
+        _, out = _run(capsys, *args, "--format", "json")
+        return json.loads(out)["obligations"]
+
+    for path in (CTR, LEAK):
+        parts = obligations("check", path)
+        text = Path(path).read_text()
+        if "refinement ctr2" in text:
+            parts += obligations("refine", path, "--pair", "ctr2")
+            parts += obligations("prove", path, "--script", "main")
+            parts += obligations("oracle", path, "--property", "PL")
+            parts += obligations("oracle", path, "--property", "P2")
+        assert obligations("report", path) == parts

@@ -2,23 +2,36 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from pathlib import Path
+
+import pytest
 
 from faircheck import (
     EventSystem,
     Guard,
+    OracleResult,
     Prim,
+    Seq,
+    Skip,
     StateRelation,
     StateSet,
     StateSpace,
     semantic_leadsto,
 )
+from faircheck.elaborator import elaborate
+from faircheck.parser import parse_document
 from helpers import (
     GenSystem,
+    ast_system,
     bounded_fair_lasso_exists,
+    check_deadlock_path,
     fair_avoidance_exists,
+    random_relation,
     random_subset,
     random_system,
 )
+
+ROOT = Path(__file__).parent.parent
 
 
 def test_oracle_fixture_holds(ctr):
@@ -153,7 +166,7 @@ def _all_tiny_events(space: StateSpace):
 def test_oracle_agrees_with_subset_enumeration_exhaustive_two_states():
     space = StateSpace("u", 2)
     events = _all_tiny_events(space)
-    checked = 0
+    checked = deadlocks = 0
     for (g1, r1) in events:
         for (g2, r2) in events:
             system = EventSystem(
@@ -167,20 +180,49 @@ def test_oracle_agrees_with_subset_enumeration_exhaustive_two_states():
                 assert got.holds == expected, (g1, r1, g2, r2, pmask, qmask)
                 if got.lasso is not None:
                     got.lasso.validate(system, p, q)
+                if got.deadlock_path is not None:
+                    check_deadlock_path(gsys, p, q, got.deadlock_path)
+                    deadlocks += 1
                 checked += 1
-    assert checked == 1024
+    assert checked == 1024 and deadlocks > 0
+
+
+def _verdict_kind(result: OracleResult) -> str:
+    if result.holds:
+        return "pass"
+    return "lasso" if result.lasso is not None else "deadlock"
+
+
+def _check_against_reference(gsys: GenSystem, p: StateSet, q: StateSet) -> OracleResult:
+    result = semantic_leadsto(gsys.system, p, q)
+    assert result.holds == (not fair_avoidance_exists(gsys, p, q))
+    if result.lasso is not None:
+        result.lasso.validate(gsys.system, p, q)
+    if result.deadlock_path is not None:
+        check_deadlock_path(gsys, p, q, result.deadlock_path)
+    return result
 
 
 def test_oracle_agrees_with_subset_enumeration_random():
     rng = random.Random(0)
+    kinds = set()
     for _ in range(250):
         gsys = random_system(rng, rng.randint(3, 5), rng.randint(1, 3))
         p, q = random_subset(rng, gsys.space), random_subset(rng, gsys.space)
-        expected = not fair_avoidance_exists(gsys, p, q)
-        result = semantic_leadsto(gsys.system, p, q)
-        assert result.holds == expected
-        if result.lasso is not None:
-            result.lasso.validate(gsys.system, p, q)
+        kinds.add(_verdict_kind(_check_against_reference(gsys, p, q)))
+    assert kinds == {"pass", "lasso", "deadlock"}
+
+
+def test_oracle_on_ast_events_agrees_with_subset_enumeration():
+    # events that are not Guard(g, Prim(rel)) go through the transformers;
+    # the reference reads relations derived from structural_wp instead
+    rng = random.Random(4)
+    kinds = set()
+    for _ in range(200):
+        gsys = ast_system(rng, rng.randint(2, 5), rng.randint(1, 3))
+        p, q = random_subset(rng, gsys.space), random_subset(rng, gsys.space)
+        kinds.add(_verdict_kind(_check_against_reference(gsys, p, q)))
+    assert kinds == {"pass", "lasso", "deadlock"}
 
 
 def test_oracle_agrees_with_bounded_walk_search_tiny():
@@ -194,3 +236,103 @@ def test_oracle_agrees_with_bounded_walk_search_tiny():
             assert not result.holds
         if result.holds:
             assert not found
+
+
+# ---------------------------------------------------------------------------
+# Elaborated events are read directly, other events through the transformers
+# ---------------------------------------------------------------------------
+
+
+def _via_transformers(system: EventSystem) -> EventSystem:
+    """The same events as `skip ; e`, which denotes the same transformer
+    but is not of the elaborated form, so the oracle extracts it."""
+    skip = Skip(system.space)
+    return EventSystem(system.space, {l: Seq(skip, c) for l, c in system.events.items()})
+
+
+def _forbid_transformers(monkeypatch: pytest.MonkeyPatch) -> None:
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle used the transformer pipeline")
+
+    monkeypatch.setattr("faircheck.unity.transition_relation", forbidden)
+    monkeypatch.setattr("faircheck.unity.grd_of", forbidden)
+    monkeypatch.setattr("faircheck.commands.str_apply", forbidden)
+
+
+def _ring_text(n: int, variant: str) -> str:
+    """States 0..n-1 are live and n is the target; the lasso variant
+    disables done below 3, the deadlock variant leaks 1 into the dead
+    state n + 1."""
+    top = n + 1 if variant == "deadlock" else n
+    lines = [
+        "system ring",
+        f"  var x : 0..{top}",
+        f"  event inc when x < {n - 1} then x := x + 1 end",
+        f"  event back when x > 0 and x < {n} then x := x - 1 end",
+        f"  event done when x >= {3 if variant == 'lasso' else 0} and x < {n} "
+        f"then x := {n} end",
+    ]
+    if variant == "deadlock":
+        lines.append(f"  event leak when x = 1 then x := {n + 1} end")
+    lines += ["end", f"property L leadsto from x < {n} to x = {n}"]
+    return "\n".join(lines) + "\n"
+
+
+def _leadsto_cases(text: str) -> list[tuple[EventSystem, StateSet, StateSet]]:
+    model = elaborate(parse_document(text).document)
+    return [
+        (model.owner(prop.source).system, prop.p, prop.q)
+        for prop in model.properties.values()
+        if prop.kind == "leadsto"
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, kind",
+    [
+        ("ctr.fb", "pass"),
+        ("pass", "pass"),
+        ("lasso", "lasso"),
+        ("deadlock", "deadlock"),
+    ],
+)
+def test_oracle_reads_elaborated_events_without_transformers(monkeypatch, source, kind):
+    if source.endswith(".fb"):
+        cases = _leadsto_cases((ROOT / "models" / source).read_text())
+    else:
+        cases = _leadsto_cases(_ring_text(40, source))
+    expected = [semantic_leadsto(_via_transformers(s), p, q) for s, p, q in cases]
+    _forbid_transformers(monkeypatch)
+    got = [semantic_leadsto(s, p, q) for s, p, q in cases]
+    assert got == expected
+    assert {_verdict_kind(r) for r in got} == {kind}
+
+
+def test_oracle_reads_a_2000_state_ring_without_transformers(monkeypatch):
+    ((system, p, q),) = _leadsto_cases(_ring_text(2000, "pass"))
+    _forbid_transformers(monkeypatch)
+    assert semantic_leadsto(system, p, q) == OracleResult(True)
+
+
+def _guard_wider_than_domain(rng: random.Random, size: int, n_events: int) -> GenSystem:
+    """Guard(g, Prim(rel)) events whose guard holds at states without
+    successors, where the event is nevertheless disabled."""
+    space = StateSpace("u", size)
+    guards = {f"e{i}": random_subset(rng, space) for i in range(n_events)}
+    rels = {label: random_relation(rng, space, density=0.3) for label in guards}
+    events = {label: Guard(guards[label], Prim(rels[label])) for label in guards}
+    return GenSystem(EventSystem(space, events), guards, rels)
+
+
+@pytest.mark.parametrize("make", [random_system, _guard_wider_than_domain])
+def test_oracle_direct_reading_matches_transformer_extraction_random(make):
+    # same verdict and byte-identical witnesses through either event form
+    rng = random.Random(6)
+    kinds = set()
+    for _ in range(200):
+        gsys = make(rng, rng.randint(2, 6), rng.randint(1, 3))
+        p, q = random_subset(rng, gsys.space), random_subset(rng, gsys.space)
+        direct = _check_against_reference(gsys, p, q)
+        assert direct == semantic_leadsto(_via_transformers(gsys.system), p, q)
+        kinds.add(_verdict_kind(direct))
+    assert kinds == {"pass", "lasso", "deadlock"}
