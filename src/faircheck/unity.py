@@ -482,12 +482,11 @@ def semantic_leadsto(sys: EventSystem, p: StateSet, q: StateSet) -> OracleResult
         outs: dict[str, list[int]] = {}
         here: set[str] = set()
         for label, guard_mask, succ in rows:
-            if not guard_mask >> x & 1:
+            m = succ(x) if guard_mask >> x & 1 else 0
+            if not m:
                 continue
-            m = succ(x)
-            if m:
-                here.add(label)
-                m &= avoid_mask
+            here.add(label)
+            m &= avoid_mask
             if m:
                 targets = outs[label] = []
                 while m:
