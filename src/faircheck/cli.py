@@ -10,7 +10,8 @@ Subcommands:
     report FILE              everything above, consolidated
 
 Exit codes: 0 all obligations passed, 1 some obligation failed,
-2 usage, parse or elaboration error.
+2 usage, parse or elaboration error, or a failed engine self-check
+(reported as "internal error").
 """
 
 from __future__ import annotations
@@ -27,7 +28,14 @@ from .elaborator import (
     ElaborationError,
     elaborate,
 )
-from .obligations import ModelError, ObligationReport, check_ensures, check_wf0, check_wf1
+from .obligations import (
+    EngineDefect,
+    ModelError,
+    ObligationReport,
+    check_ensures,
+    check_wf0,
+    check_wf1,
+)
 from .parser import parse_document
 from .refinement import (
     LipEvidence,
@@ -62,13 +70,17 @@ def _load(path: str, max_states: int) -> ElaboratedModel:
 
 
 def _ensures_report(
-    model: ElaboratedModel, prop: ElaboratedProperty, ensures: dict[str, ObligationReport]
+    model: ElaboratedModel,
+    prop: ElaboratedProperty,
+    ensures: dict[str, ObligationReport],
+    wf: tuple[ObligationReport, ...] = (),
 ) -> ObligationReport:
     """The ENS:<p> report of one ensures property, checked at most once per
-    run: `ensures` holds the reports computed so far, by property name."""
+    run: `ensures` holds the reports computed so far, by property name, and
+    `wf` the property's WF0 and WF1 reports, when the caller has them."""
     if prop.name not in ensures:
         owner = model.owner(prop.source)
-        ensures[prop.name] = check_ensures(owner.system, prop.as_ensures())
+        ensures[prop.name] = check_ensures(owner.system, prop.as_ensures(), *wf)
     return ensures[prop.name]
 
 
@@ -79,9 +91,10 @@ def _property_reports(
         owner = model.owner(prop.source)
         if prop.kind == "ensures":
             ens = prop.as_ensures()
-            doc.add(check_wf0(owner.system, ens), owner)
-            doc.add(check_wf1(owner.system, ens), owner)
-            doc.add(_ensures_report(model, prop, ensures), owner)
+            wf = (check_wf0(owner.system, ens), check_wf1(owner.system, ens))
+            for report in wf:
+                doc.add(report, owner)
+            doc.add(_ensures_report(model, prop, ensures, wf), owner)
         elif prop.kind == "unless":
             doc.add(check_unless(owner.system, prop.as_unless()), owner)
 
@@ -264,6 +277,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
                     _oracle_report(model, prop.name, doc)
     except (_CliError, ModelError, ElaborationError) as err:
         print(str(err), file=sys.stderr)
+        return 2
+    except EngineDefect as err:
+        print(f"internal error: {err}", file=sys.stderr)
         return 2
 
     output = doc.to_json_text() if args.format == "json" else doc.to_text()

@@ -161,12 +161,9 @@ def liberal_apply(c: Command, r: StateSet) -> StateSet:
     if isinstance(c, Skip):
         return r
     if isinstance(c, Prim):
-        mask = 0
-        not_r = space.full_mask & ~r.mask
-        for x in range(space.size):
-            if c.rel.successors_mask(x) & not_r == 0:
-                mask |= 1 << x
-        return StateSet(space, mask)
+        # x may stay in r iff none of its successors lies outside r
+        full = space.full_mask
+        return StateSet(space, full & ~c.rel.pre_image_mask(full & ~r.mask))
     if isinstance(c, Guard):
         return c.guard.complement() | liberal_apply(c.body, r)
     if isinstance(c, Precond):

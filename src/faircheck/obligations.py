@@ -147,11 +147,19 @@ def check_wf1(sys: EventSystem, prop: EnsuresProperty) -> ObligationReport:
     )
 
 
-def check_ensures(sys: EventSystem, prop: EnsuresProperty) -> ObligationReport:
+def check_ensures(
+    sys: EventSystem,
+    prop: EnsuresProperty,
+    wf0: ObligationReport | None = None,
+    wf1: ObligationReport | None = None,
+) -> ObligationReport:
     """Both obligations together; on pass, the fair-loop total-correctness
-    conclusion is re-derived as an engine self-check."""
-    wf0 = check_wf0(sys, prop)
-    wf1 = check_wf1(sys, prop)
+    conclusion is re-derived as an engine self-check. A caller that has
+    already checked WF0 or WF1 for this property passes those reports in."""
+    if wf0 is None:
+        wf0 = check_wf0(sys, prop)
+    if wf1 is None:
+        wf1 = check_wf1(sys, prop)
     if not (wf0.passed and wf1.passed):
         failing = wf0 if not wf0.passed else wf1
         return ObligationReport(

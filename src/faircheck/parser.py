@@ -34,7 +34,9 @@ Grammar (informal EBNF):
 
 Line comments start with //. Updates within one event act simultaneously
 (all right-hand sides read the pre-state); an "any" block must be the only
-update of its event.
+update of its event. Predicates and expressions nest at most MAX_NESTING
+levels deep (each parenthesis, "not", "=>" and unary minus is one level);
+deeper input is a parse error.
 """
 
 from __future__ import annotations
@@ -85,6 +87,16 @@ class ParseError(Exception):
         super().__init__(f"{span}: {message}")
         self.span = span
         self.message = message
+
+
+class NestingError(ParseError):
+    """Input nested deeper than MAX_NESTING; never retried as another reading."""
+
+
+# Nesting bound of predicates and expressions. The parser and the evaluators
+# recurse once (the parser a few frames) per level, so this keeps them well
+# inside Python's default recursion limit.
+MAX_NESTING = 100
 
 
 def _lex(text: str) -> tuple[list[Token], list[Diagnostic]]:
@@ -335,6 +347,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -357,6 +370,15 @@ class _Parser:
     def name(self) -> str:
         return self.expect("NAME").text
 
+    def enter(self) -> None:
+        """Open one nesting level; the caller closes it with leave()."""
+        if self.depth >= MAX_NESTING:
+            raise NestingError(self.peek().span, f"nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+
+    def leave(self) -> None:
+        self.depth -= 1
+
     def integer(self) -> int:
         sign = 1
         if self.at("-"):
@@ -369,8 +391,12 @@ class _Parser:
     def predicate(self) -> Pred:
         left = self.disjunction()
         if self.at("=>"):
+            self.enter()
             self.advance()
-            return PImp(left, self.predicate())
+            try:
+                return PImp(left, self.predicate())
+            finally:
+                self.leave()
         return left
 
     def disjunction(self) -> Pred:
@@ -389,8 +415,12 @@ class _Parser:
 
     def negation(self) -> Pred:
         if self.at("not"):
+            self.enter()
             self.advance()
-            return PNot(self.negation())
+            try:
+                return PNot(self.negation())
+            finally:
+                self.leave()
         return self.atom_pred()
 
     def atom_pred(self) -> Pred:
@@ -404,6 +434,7 @@ class _Parser:
             # could be a parenthesized predicate or the start of an
             # arithmetic comparison; try the predicate reading first
             saved = self.pos
+            self.enter()
             try:
                 self.advance()
                 inner = self.predicate()
@@ -411,8 +442,12 @@ class _Parser:
                 if self.at("=", "/=", "!=", "<", "<=", ">", ">=", "+", "-", "*"):
                     raise ParseError(self.peek().span, "arithmetic context")
                 return inner
+            except NestingError:
+                raise
             except ParseError:
                 self.pos = saved
+            finally:
+                self.leave()
         return self.comparison()
 
     def comparison(self) -> Pred:
@@ -447,14 +482,17 @@ class _Parser:
         if tok.kind == "NAME":
             self.advance()
             return EVar(tok.text)
-        if tok.kind == "-":
-            self.advance()
-            return ENeg(self.factor())
-        if tok.kind == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect(")")
-            return inner
+        if tok.kind in ("-", "("):
+            self.enter()
+            try:
+                self.advance()
+                if tok.kind == "-":
+                    return ENeg(self.factor())
+                inner = self.expr()
+                self.expect(")")
+                return inner
+            finally:
+                self.leave()
         raise ParseError(tok.span, f"expected an expression, found {tok.text or 'end of file'!r}")
 
     # -- updates --

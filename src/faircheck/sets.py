@@ -1,8 +1,19 @@
 """Finite state spaces, bit-vector state sets, and relations between spaces.
 
 Everything else in the kit is built on these three values. Sets are dense
-bitmasks over 0..size-1 and immutable; relations precompute successor and
-predecessor masks so images are single passes over machine ints.
+bitmasks over 0..size-1 and immutable. A relation keeps one successor mask
+per source state, so its image peels the set bits of the source set.
+
+Pre-images (the inverse image, and through it the liberal transformer of a
+primitive command) go through a kernel built on first use: the edges are
+grouped by their index shift t - s, and each shift shared by two or more
+edges becomes one source mask, so the pre-image of a set B is an OR of
+`mask & (B >> shift)` terms. Events of the model language are affine
+updates behind guards, so they need one to three such shifts however large
+the space is. Edges whose shift is not shared are grouped by target. When
+shifts would need more masks than the relation has targets, the kernel
+falls back to grouping every edge by target, and a pre-image then costs
+one OR per target in B, as a table of predecessor rows would.
 """
 
 from __future__ import annotations
@@ -157,16 +168,14 @@ class StateRelation:
         self.target = target
         self.pairs = frozenset(pairs)
         succ = [0] * source.size
-        pred = [0] * target.size
         for s, t in self.pairs:
             if not 0 <= s < source.size:
                 raise ValueError(f"relation source index {s} out of range for {source.id!r}")
             if not 0 <= t < target.size:
                 raise ValueError(f"relation target index {t} out of range for {target.id!r}")
             succ[s] |= 1 << t
-            pred[t] |= 1 << s
         self._succ = tuple(succ)
-        self._pred = tuple(pred)
+        self._plan: PreImagePlan | None = None
 
     @classmethod
     def identity(cls, space: StateSpace) -> "StateRelation":
@@ -190,17 +199,18 @@ class StateRelation:
             rest ^= low
         return StateSet(self.target, mask)
 
+    def pre_image_mask(self, mask: int) -> int:
+        """Mask of all sources of pairs whose target bit is set in `mask`;
+        the kernel is built on first use."""
+        if self._plan is None:
+            self._plan = PreImagePlan(self.pairs)
+        return self._plan.apply(mask)
+
     def inverse_image(self, s: StateSet) -> StateSet:
         """All sources of pairs whose target lies in s."""
         if not s.space.same_as(self.target):
             raise SpaceMismatchError(s.space, self.target, "take the inverse image of")
-        mask = 0
-        rest = s.mask
-        while rest:
-            low = rest & -rest
-            mask |= self._pred[low.bit_length() - 1]
-            rest ^= low
-        return StateSet(self.source, mask)
+        return StateSet(self.source, self.pre_image_mask(s.mask))
 
     def is_total(self) -> bool:
         """True iff every source state is related to at least one target."""
@@ -223,3 +233,70 @@ class StateRelation:
 
     def __repr__(self) -> str:
         return f"StateRelation({self.source.id}->{self.target.id}, {sorted(self.pairs)})"
+
+
+def _mask_of(indices: list[int]) -> int:
+    bits = bytearray((max(indices) >> 3) + 1)
+    for i in indices:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
+
+
+class PreImagePlan:
+    """Pre-image of a relation as a few shifted masks plus per-target masks.
+
+    The edges (s, t) are grouped by shift d = t - s. A shift class with at
+    least two edges becomes one source mask S_d, and every edge of a
+    single-edge shift goes to a per-target source mask P_t, so
+
+        pre_image(B) = OR_d S_d & (B >> d)  |  OR_{t in B} P_t
+
+    (a negative d shifts left). When that would need more classes than the
+    relation has distinct targets, every edge goes to a per-target mask
+    instead, so an unstructured relation costs one OR per target in B, as
+    a table of predecessor rows would.
+    """
+
+    __slots__ = ("right", "left", "targets", "preds")
+
+    def __init__(self, pairs: frozenset[tuple[int, int]]):
+        by_shift: dict[int, list[int]] = {}
+        for s, t in pairs:
+            by_shift.setdefault(t - s, []).append(s)
+        shared = {d for d, sources in by_shift.items() if len(sources) > 1}
+        singles = {sources[0] + d for d, sources in by_shift.items() if len(sources) == 1}
+        if len(shared) + len(singles) > len({t for _, t in pairs}):
+            shared = set()
+        by_target: dict[int, list[int]] = {}
+        for d, sources in by_shift.items():
+            if d not in shared:
+                for s in sources:
+                    by_target.setdefault(s + d, []).append(s)
+        masks = sorted((d, _mask_of(by_shift[d])) for d in shared)
+        self.right = tuple((d, m) for d, m in masks if d >= 0)
+        self.left = tuple((-d, m) for d, m in masks if d < 0)
+        self.preds = {t: _mask_of(sources) for t, sources in by_target.items()}
+        self.targets = _mask_of(list(self.preds)) if self.preds else 0
+
+    def apply(self, mask: int) -> int:
+        acc = 0
+        for d, sources in self.right:
+            acc |= sources & (mask >> d)
+        for d, sources in self.left:
+            acc |= sources & (mask << d)
+        rest = mask & self.targets
+        preds = self.preds
+        # peeling costs a few operations as wide as B per target, walking
+        # bin(B) one cheap step per bit position; the walk wins from about
+        # one target per 8 positions at 3000 states and per 12 at 6000, and
+        # 16 errs towards the walk, whose step cost does not grow with B
+        if rest.bit_count() * 16 < rest.bit_length():
+            while rest:
+                low = rest & -rest
+                acc |= preds[low.bit_length() - 1]
+                rest ^= low
+        elif rest:
+            # reversed, position i of bin(rest) is target i
+            for sources in [preds[t] for t, bit in enumerate(bin(rest)[:1:-1]) if bit == "1"]:
+                acc |= sources
+        return acc

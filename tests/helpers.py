@@ -5,14 +5,19 @@ check: the structural weakest precondition recursion never uses the pairing
 identity, the fair-avoidance decision enumerates candidate components
 as raw subsets instead of running the engine's SCC pass, and the refinement
 simulation reference quantifies over every concrete subset using the raw
-gluing pairs.
+gluing pairs. The pre-image reference walks the raw pairs, and the
+structural recursion reads a primitive command by scanning every state,
+so neither uses the shift-class kernel.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 
 from faircheck import (
     Choice,
@@ -37,6 +42,10 @@ from faircheck import (
     split_system,
     str_apply,
 )
+from faircheck.elaborator import elaborate
+from faircheck.parser import parse_document
+
+ROOT = Path(__file__).parent.parent
 
 # ---------------------------------------------------------------------------
 # Random generation
@@ -465,3 +474,95 @@ def split_refinement(
     concrete = EventSystem(v, events)
     pair = RefinementPair(gsys.system, concrete, gluing, refines)
     return pair, to_abstract
+
+
+# ---------------------------------------------------------------------------
+# Pre-image kernel: per-pair reference and relation families
+# ---------------------------------------------------------------------------
+
+
+def pair_pre_image(rel: StateRelation, mask: int) -> int:
+    """Sources of the pairs whose target bit is set in mask, pair by pair."""
+    out = 0
+    for s, t in rel.pairs:
+        if mask >> t & 1:
+            out |= 1 << s
+    return out
+
+
+def kernel_relations(rng: random.Random) -> list[tuple[str, StateRelation]]:
+    """Seeded relations of every shape the pre-image kernel distinguishes,
+    at sizes below and above one machine word."""
+    out: list[tuple[str, StateRelation]] = []
+    for n in (1, 5, 70, 200):
+        space = StateSpace(f"k{n}", n)
+
+        def rel(kind: str, pairs) -> None:
+            out.append((f"{kind}/{n}", StateRelation(space, space, pairs)))
+
+        rel("empty", [])
+        rel("identity", [(i, i) for i in range(n)])
+        rel("complete", [(s, t) for s in range(n) for t in range(n)])
+        for d in (1, 3, -1, -7, n - 1, 1 - n):
+            rel(f"shift{d:+d}", [(s, s + d) for s in range(n) if 0 <= s + d < n])
+        rel("wrap", [(s, (s + 1) % n) for s in range(n)])
+        target = rng.randrange(n)
+        rel("one-target", [(s, target) for s in range(n)])
+        for k in (1, 3):
+            rel(f"random-{k}-out", [(s, rng.randrange(n)) for s in range(n) for _ in range(k)])
+        guard = [s for s in range(n) if rng.random() < 0.7]
+        stride = rng.randrange(1, max(2, n // 3))
+        rel(
+            "ring-events",
+            [(s, s + stride) for s in guard if s + stride < n]
+            + [(s, s - 1) for s in guard if s >= 1]
+            + [(s, 0) for s in guard if rng.random() < 0.2],
+        )
+        rel("sparse-random", [(s, t) for s in range(n) for t in range(n) if rng.random() < 0.02])
+    for m, k in ((1, 3), (7, 3), (12, 5), (90, 40), (40, 90)):
+        concrete, abstract = StateSpace(f"c{m}", m), StateSpace(f"a{k}", k)
+        total = [(y, rng.randrange(k)) for y in range(m)]
+        out.append((f"gluing/{m}->{k}", StateRelation(concrete, abstract, total)))
+        extra = [(y, rng.randrange(k)) for y in range(m) if rng.random() < 0.5]
+        out.append((f"gluing-multi/{m}->{k}", StateRelation(concrete, abstract, total + extra)))
+        diagonal = [(y, y % k) for y in range(m)]
+        out.append((f"gluing-mod/{m}->{k}", StateRelation(concrete, abstract, diagonal)))
+    return out
+
+
+def _load_workloads():
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def model_texts() -> list[tuple[str, str]]:
+    """The fixtures under models/ and three smoke-size models of every
+    benchmark workload, as (name, model-language text)."""
+    texts = [(path.name, path.read_text()) for path in sorted((ROOT / "models").glob("*.fb"))]
+    workloads = _load_workloads()
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        stream = iter(workloads.ModelStream(workload, 0, workload.smoke))
+        texts.extend((f"{name}-{i}", next(stream).text()) for i in range(3))
+    return texts
+
+
+def model_relations() -> list[tuple[str, StateRelation]]:
+    """Every event relation and gluing relation of the models of model_texts()."""
+    out: list[tuple[str, StateRelation]] = []
+    for name, text in model_texts():
+        result = parse_document(text)
+        assert result.ok, (name, result.diagnostics)
+        model = elaborate(result.document)
+        owners = [*model.systems.values(), *(r.concrete for r in model.refinements.values())]
+        for owner in owners:
+            for label, event in owner.system.events.items():
+                assert isinstance(event, Guard) and isinstance(event.body, Prim)
+                out.append((f"{name}:{owner.name}.{label}", event.body.rel))
+        for refinement in model.refinements.values():
+            out.append((f"{name}:{refinement.name}.gluing", refinement.pair.gluing))
+    return out

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from faircheck import cli, refinement
+from faircheck import cli, obligations, refinement
 from faircheck.cli import run_cli
 from faircheck.reports import validate_report
 
@@ -214,16 +214,29 @@ def test_report_checks_each_ensures_property_once(capsys, monkeypatch):
     checked = Counter()
     original = cli.check_ensures
 
-    def counting(system, prop):
+    def counting(system, prop, *wf):
         checked[system.space.id, prop.name] += 1
-        return original(system, prop)
+        return original(system, prop, *wf)
 
     for module in (cli, refinement, unity):
         monkeypatch.setattr(module, "check_ensures", counting)
+    wf = {"check_wf0": Counter(), "check_wf1": Counter()}
+    for name, tally in wf.items():
+        check = getattr(obligations, name)
+
+        def counting_wf(system, prop, check=check, tally=tally):
+            tally[system.space.id, prop.name] += 1
+            return check(system, prop)
+
+        for module in (cli, obligations):
+            monkeypatch.setattr(module, name, counting_wf)
     code, _ = _run(capsys, "report", CTR)
     assert code == 0
     assert {("ctr", "P1"), ("ctr2", "E_stutter"), ("ctr2", "E_help")} <= set(checked)
     assert set(checked.values()) == {1}
+    for tally in wf.values():
+        assert set(checked) <= set(tally)
+        assert set(tally.values()) == {1}
 
 
 def test_report_is_the_concatenation_of_its_subcommands(capsys):
@@ -242,3 +255,71 @@ def test_report_is_the_concatenation_of_its_subcommands(capsys):
             parts += obligations("oracle", path, "--property", "PL")
             parts += obligations("oracle", path, "--property", "P2")
         assert obligations("report", path) == parts
+
+
+@pytest.mark.parametrize("model", ["ctr", "ctr_leak"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_matches_golden_output(capsys, monkeypatch, model, fmt):
+    # tests/golden holds the report as the per-state liberal transformer
+    # produced it; the pre-image kernel must not change a byte
+    monkeypatch.chdir(ROOT)
+    code, out = _run(capsys, "report", f"models/{model}.fb", "--format", fmt)
+    assert code == (0 if model == "ctr" else 1)
+    assert out == (ROOT / "tests" / "golden" / f"{model}_report.{fmt}").read_text()
+
+
+def test_engine_defect_is_an_internal_error(capsys, monkeypatch):
+    from faircheck.fairloop import LoopCheck
+
+    monkeypatch.setattr(
+        obligations, "check_total_correctness", lambda loop, p: LoopCheck("fail")
+    )
+    code = run_cli(["report", CTR])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("internal error: ensures 'P1' passed WF0/WF1")
+
+
+NESTED = """system s
+  var x : 0..3
+  event inc when {guard} then x := x + 1 end
+  event done when x = 3 then x := 0 end
+end
+property P ensures helpful {{inc}} from {frm} to x = 1
+"""
+
+
+def _nested(depth: int, pred: str) -> str:
+    return "(" * depth + pred + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "guard, frm, span",
+    [
+        pytest.param(_nested(3000, "x < 3"), "x = 0", "3:118", id="guard"),
+        pytest.param("x < 3", _nested(3000, "x = 0"), "6:139", id="property"),
+        # the limit is reached at "not", which only the predicate reading
+        # parses; the arithmetic reading must not replace the diagnostic
+        pytest.param(_nested(100, "not x < 3"), "x = 0", "3:118", id="not"),
+    ],
+)
+def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, guard, frm, span):
+    path = tmp_path / "deep.fb"
+    path.write_text(NESTED.format(guard=guard, frm=frm))
+    code = run_cli(["check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    # the diagnostic points at the first token beyond the limit
+    assert f"{path}:{span}: error: nested deeper than 100 levels" in err
+
+
+@pytest.mark.parametrize("depth", [50, 100])
+def test_nesting_within_the_limit_is_checked(tmp_path, capsys, depth):
+    path = tmp_path / "nested.fb"
+    path.write_text(NESTED.format(guard=_nested(depth, "x < 3"), frm=_nested(depth, "x = 0")))
+    code, out = _run(capsys, "check", str(path))
+    assert code == 0
+    assert "ENS:P" in out

@@ -24,7 +24,14 @@ from faircheck import (
     str_apply,
     transition_relation,
 )
-from helpers import has_dovetail, random_command, random_subset, structural_wp
+from helpers import (
+    has_dovetail,
+    kernel_relations,
+    model_relations,
+    random_command,
+    random_subset,
+    structural_wp,
+)
 
 
 def test_liberal_skip_is_identity():
@@ -250,3 +257,22 @@ def test_seq_pre_uses_first_command():
     # running to0 first lands in 0 where the precondition holds
     assert pre_of(Seq(to0, abort_on_1)) == space.universe()
     assert pre_of(Seq(abort_on_1, to0)) == space.subset([0])
+
+
+@pytest.mark.parametrize("family", ["generated", "models"])
+def test_liberal_prim_matches_per_state_scan(family):
+    # structural_wp reads Prim by scanning every state's successor row
+    rng = random.Random(31)
+    relations = kernel_relations(rng) if family == "generated" else model_relations()
+    checked = 0
+    for name, rel in relations:
+        if not rel.source.same_as(rel.target):
+            continue
+        space = rel.source
+        posts = [space.empty(), space.universe()] + [random_subset(rng, space) for _ in range(8)]
+        holes = rng.sample(range(space.size), min(3, space.size))
+        posts += [space.singleton(t).complement() for t in holes]
+        for r in posts:
+            assert liberal_apply(Prim(rel), r) == structural_wp(Prim(rel), r), (name, r)
+            checked += 1
+    assert checked > 100

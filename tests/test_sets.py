@@ -5,6 +5,8 @@ import random
 import pytest
 
 from faircheck import SpaceMismatchError, StateRelation, StateSet, StateSpace
+from faircheck.sets import PreImagePlan
+from helpers import kernel_relations, model_relations, pair_pre_image
 
 
 def test_complement_of_empty_is_universe():
@@ -116,3 +118,72 @@ def test_labels_render_states():
     space = StateSpace("u", 2, labels=("x=0", "x=1"))
     assert space.label_of(1) == "x=1"
     assert space.subset([0, 1]).pretty() == "{x=0, x=1}"
+
+
+def _probe_masks(rng: random.Random, space: StateSpace) -> list[int]:
+    n = space.size
+    masks = [0, space.full_mask, 1, 1 << (n - 1), space.full_mask >> 1]
+    masks += [rng.getrandbits(n) for _ in range(6)]
+    masks += [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(3)]
+    return masks
+
+
+def _distinct_targets(rel: StateRelation) -> int:
+    return len({t for _, t in rel.pairs})
+
+
+def _classes(plan: PreImagePlan) -> int:
+    """Shift masks plus per-target masks."""
+    return len(plan.right) + len(plan.left) + len(plan.preds)
+
+
+@pytest.mark.parametrize("family", ["generated", "models"])
+def test_pre_image_kernel_matches_pair_reference(family):
+    rng = random.Random(2024)
+    relations = kernel_relations(rng) if family == "generated" else model_relations()
+    assert relations
+    for name, rel in relations:
+        for mask in _probe_masks(rng, rel.target):
+            expect = pair_pre_image(rel, mask)
+            assert rel.pre_image_mask(mask) == expect, (name, mask)
+            assert rel.inverse_image(StateSet(rel.target, mask)).mask == expect, (name, mask)
+
+
+@pytest.mark.parametrize("family", ["generated", "models"])
+def test_pre_image_plan_has_at_most_one_class_per_target(family):
+    rng = random.Random(77)
+    relations = kernel_relations(rng) if family == "generated" else model_relations()
+    for name, rel in relations:
+        assert _classes(PreImagePlan(rel.pairs)) <= _distinct_targets(rel), name
+
+
+def test_pre_image_plan_shapes():
+    space = StateSpace("u", 300)
+    ring = StateRelation(
+        space,
+        space,
+        [(s, s + 7) for s in range(250)] + [(s, s - 2) for s in range(2, 300)] + [(10, 0)],
+    )
+    plan = PreImagePlan(ring.pairs)
+    # two shift classes and the single edge of shift -10, kept per target
+    assert [d for d, _ in plan.right] == [7]
+    assert [d for d, _ in plan.left] == [2]
+    assert set(plan.preds) == {0}
+    assert _classes(plan) == 3
+    complete = StateRelation(space, space, [(s, t) for s in range(300) for t in range(300)])
+    # 597 shared shifts and 2 single edges against 300 targets: per-target only
+    plan = PreImagePlan(complete.pairs)
+    assert plan.right == plan.left == ()
+    assert _classes(plan) == 300
+    assert _classes(PreImagePlan(frozenset())) == 0
+
+
+def test_pre_image_plan_is_built_once_and_replaces_predecessor_rows():
+    space = StateSpace("u", 10)
+    rel = StateRelation(space, space, [(s, (s + 1) % 10) for s in range(10)])
+    assert rel._plan is None
+    rel.pre_image_mask(1)
+    plan = rel._plan
+    assert rel.inverse_image(space.subset([3])).members() == (2,)
+    assert rel._plan is plan
+    assert not hasattr(rel, "_pred")
