@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from typing import Callable
 
 from .sets import SpaceMismatchError, StateRelation, StateSet, StateSpace
@@ -153,6 +153,23 @@ def choice_of(commands: list[Command], space: StateSpace) -> Command:
 # ---------------------------------------------------------------------------
 
 
+def _memo_on_command(fn: Callable[[Command], StateSet]) -> Callable[[Command], StateSet]:
+    """Keep fn's result on the command instance itself, so the memo goes
+    away with the model that owns the command."""
+    key = f"_{fn.__name__}"
+
+    @wraps(fn)
+    def memoised(c: Command) -> StateSet:
+        try:
+            return c.__dict__[key]
+        except KeyError:
+            value = fn(c)
+            object.__setattr__(c, key, value)  # commands are frozen dataclasses
+            return value
+
+    return memoised
+
+
 def liberal_apply(c: Command, r: StateSet) -> StateSet:
     """The liberal transformer: end in r or fail to terminate."""
     if not c.space.same_as(r.space):
@@ -180,7 +197,7 @@ def liberal_apply(c: Command, r: StateSet) -> StateSet:
     raise TypeError(f"unknown command {c!r}")
 
 
-@lru_cache(maxsize=None)
+@_memo_on_command
 def pre_of(c: Command) -> StateSet:
     """The termination set: states from which c certainly terminates."""
     space = c.space
@@ -207,7 +224,7 @@ def str_apply(c: Command, r: StateSet) -> StateSet:
     return liberal_apply(c, r) & pre_of(c)
 
 
-@lru_cache(maxsize=None)
+@_memo_on_command
 def grd_of(c: Command) -> StateSet:
     """The guard: states where execution of c is possible (not miraculous)."""
     return str_apply(c, c.space.empty()).complement()

@@ -11,6 +11,7 @@ iff it glues to at least one abstract state.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -51,47 +52,65 @@ class ElaborationError(Exception):
     pass
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def eval_expr(e: Expr, env: Mapping[str, int]) -> int:
-    if isinstance(e, EInt):
-        return e.value
+    if isinstance(e, EBin):
+        # The parser builds a chain a + b - c as a left-deep tree; walk its
+        # left spine with a loop, so a long chain does not recurse once per
+        # operator. Only parentheses and negation nest, and the parser
+        # bounds those.
+        spine = []
+        while isinstance(e, EBin):
+            spine.append(e)
+            e = e.left
+        value = eval_expr(e, env)
+        for node in reversed(spine):
+            value = _ARITH[node.op](value, eval_expr(node.right, env))
+        return value
     if isinstance(e, EVar):
         if e.name not in env:
             raise ElaborationError(f"unknown variable {e.name!r}")
         return env[e.name]
+    if isinstance(e, EInt):
+        return e.value
     if isinstance(e, ENeg):
         return -eval_expr(e.inner, env)
-    if isinstance(e, EBin):
-        left, right = eval_expr(e.left, env), eval_expr(e.right, env)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
     raise TypeError(e)
 
 
 _CMP = {
-    "=": lambda a, b: a == b,
-    "/=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "/=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
 def eval_pred(p: Pred, env: Mapping[str, int]) -> bool:
-    if isinstance(p, PBool):
-        return p.value
     if isinstance(p, PCmp):
         return _CMP[p.op](eval_expr(p.left, env), eval_expr(p.right, env))
+    if isinstance(p, (PAnd, POr)):
+        # a left-deep chain of one connective, walked like eval_expr's;
+        # "and" stops at the first false operand, "or" at the first true one
+        kind = type(p)
+        operands = [p.right]
+        p = p.left
+        while type(p) is kind:
+            operands.append(p.right)
+            p = p.left
+        stop = kind is POr
+        value = eval_pred(p, env)
+        while operands and value != stop:
+            value = eval_pred(operands.pop(), env)
+        return value
+    if isinstance(p, PBool):
+        return p.value
     if isinstance(p, PNot):
         return not eval_pred(p.inner, env)
-    if isinstance(p, PAnd):
-        return eval_pred(p.left, env) and eval_pred(p.right, env)
-    if isinstance(p, POr):
-        return eval_pred(p.left, env) or eval_pred(p.right, env)
     if isinstance(p, PImp):
         return (not eval_pred(p.left, env)) or eval_pred(p.right, env)
     raise TypeError(p)

@@ -42,10 +42,8 @@ class RefinementPair:
         if not gluing.target.same_as(abstract.space):
             raise ModelError("gluing must go to the abstract space")
         if not gluing.is_total():
-            orphans = [
-                y for y in range(concrete.space.size) if gluing.successors_mask(y) == 0
-            ]
-            label = concrete.space.label_of(orphans[0])
+            orphan = gluing.domain().complement().members()[0]
+            label = concrete.space.label_of(orphan)
             raise ModelError(f"gluing not total: concrete state {label} glues to nothing")
         missing = set(concrete.labels) - set(refines)
         if missing:

@@ -1,25 +1,36 @@
 """Finite state spaces, bit-vector state sets, and relations between spaces.
 
 Everything else in the kit is built on these three values. Sets are dense
-bitmasks over 0..size-1 and immutable. A relation keeps one successor mask
-per source state, so its image peels the set bits of the source set.
+bitmasks over 0..size-1 and immutable.
 
-Pre-images (the inverse image, and through it the liberal transformer of a
-primitive command) go through a kernel built on first use: the edges are
-grouped by their index shift t - s, and each shift shared by two or more
-edges becomes one source mask, so the pre-image of a set B is an OR of
-`mask & (B >> shift)` terms. Events of the model language are affine
-updates behind guards, so they need one to three such shifts however large
-the space is. Edges whose shift is not shared are grouped by target. When
-shifts would need more masks than the relation has targets, the kernel
-falls back to grouping every edge by target, and a pre-image then costs
-one OR per target in B, as a table of predecessor rows would.
+A relation is stored as one edge plan that answers pre-images, images and
+per-state successor lists, in memory linear in states plus edges. The
+edges are grouped by their index shift d = t - s, and a shift shared by
+enough edges becomes one source mask S_d, so
+
+    pre_image(B) = OR_d S_d & (B >> d)      image(A) = OR_d (A & S_d) << d
+
+(a negative d shifts the other way). Events of the model language are
+affine updates behind guards, so they need one to three such shifts however
+large the space is. Of the other edges, a target shared by enough sources
+(the assignment of a constant, say) becomes one source mask P_t, and the
+rest are kept as two index arrays sorted by source. "Enough" is 1/1024 of
+the source space, and at least two: a mask then takes at most 8 times the
+memory the index arrays would take for its edges, and one operation
+instead of one per edge. When the masks would outnumber the relation's
+distinct targets, the plan groups by target only, so an unstructured
+relation costs one mask operation per target, as a table of predecessor
+rows would.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import compress, count
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 
 class SpaceMismatchError(Exception):
@@ -74,15 +85,16 @@ class StateSpace:
         return StateSet(self, self.full_mask)
 
     def subset(self, members: Iterable[int]) -> "StateSet":
-        mask = 0
-        for m in members:
-            if not 0 <= m < self.size:
-                raise ValueError(f"state index {m} out of range for space {self.id!r}")
-            mask |= 1 << m
-        return StateSet(self, mask)
+        indices = list(members)
+        if indices and not (0 <= min(indices) and max(indices) < self.size):
+            bad = next(m for m in indices if not 0 <= m < self.size)
+            raise ValueError(f"state index {bad} out of range for space {self.id!r}")
+        return StateSet(self, _mask_of(indices))
 
     def singleton(self, member: int) -> "StateSet":
-        return self.subset((member,))
+        if not 0 <= member < self.size:
+            raise ValueError(f"state index {member} out of range for space {self.id!r}")
+        return StateSet(self, 1 << member)
 
     def all_subsets(self) -> Iterator["StateSet"]:
         """Every subset of the space, in mask order. Only sane for small spaces."""
@@ -145,13 +157,18 @@ class StateSet:
         return bool(self.mask >> index & 1)
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.space.size) if self.mask >> i & 1)
+        return tuple(_indices(self.mask))
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.members())
+        return iter(_indices(self.mask))
+
+    def flags(self) -> bytes:
+        """One byte per state, 1 for members: constant-time membership for
+        loops that visit many states."""
+        return _flags(self.mask, self.space.size)
 
     def pretty(self) -> str:
         return "{" + ", ".join(self.space.label_of(i) for i in self) + "}"
@@ -161,63 +178,57 @@ class StateSet:
 
 
 class StateRelation:
-    """A relation between two spaces, possibly partial and non-functional."""
+    """A relation between two spaces, possibly partial and non-functional.
+
+    The edges are stored once, as an `EdgePlan`; `pairs` is the relation's
+    value for equality and hashing.
+    """
 
     def __init__(self, source: StateSpace, target: StateSpace, pairs: Iterable[tuple[int, int]]):
         self.source = source
         self.target = target
         self.pairs = frozenset(pairs)
-        succ = [0] * source.size
         for s, t in self.pairs:
             if not 0 <= s < source.size:
                 raise ValueError(f"relation source index {s} out of range for {source.id!r}")
             if not 0 <= t < target.size:
                 raise ValueError(f"relation target index {t} out of range for {target.id!r}")
-            succ[s] |= 1 << t
-        self._succ = tuple(succ)
-        self._plan: PreImagePlan | None = None
+        self._plan = EdgePlan(self.pairs, source.size, target.size)
 
     @classmethod
     def identity(cls, space: StateSpace) -> "StateRelation":
         return cls(space, space, ((i, i) for i in range(space.size)))
 
-    def successors_mask(self, index: int) -> int:
-        return self._succ[index]
+    def successors(self, index: int) -> tuple[int, ...]:
+        """The targets related to one source state, ascending."""
+        return self._plan.successors(index)
 
-    def successors(self, index: int) -> StateSet:
-        return StateSet(self.target, self._succ[index])
+    def successors_mask(self, index: int) -> int:
+        return _mask_of(self._plan.successors(index))
 
     def image(self, a: StateSet) -> StateSet:
         """All targets of pairs whose source lies in a."""
         if not a.space.same_as(self.source):
             raise SpaceMismatchError(a.space, self.source, "take the image of")
-        mask = 0
-        rest = a.mask
-        while rest:
-            low = rest & -rest
-            mask |= self._succ[low.bit_length() - 1]
-            rest ^= low
-        return StateSet(self.target, mask)
+        return StateSet(self.target, self._plan.image(a.mask))
 
     def pre_image_mask(self, mask: int) -> int:
-        """Mask of all sources of pairs whose target bit is set in `mask`;
-        the kernel is built on first use."""
-        if self._plan is None:
-            self._plan = PreImagePlan(self.pairs)
-        return self._plan.apply(mask)
+        """Mask of all sources of pairs whose target bit is set in `mask`."""
+        return self._plan.pre_image(mask)
 
     def inverse_image(self, s: StateSet) -> StateSet:
         """All sources of pairs whose target lies in s."""
         if not s.space.same_as(self.target):
             raise SpaceMismatchError(s.space, self.target, "take the inverse image of")
-        return StateSet(self.source, self.pre_image_mask(s.mask))
+        return StateSet(self.source, self._plan.pre_image(s.mask))
+
+    def domain(self) -> StateSet:
+        """The source states related to at least one target."""
+        return StateSet(self.source, self._plan.domain)
 
     def is_total(self) -> bool:
         """True iff every source state is related to at least one target."""
-        return all(self._succ[i] != 0 for i in range(self.source.size))
-
-    def converse_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((t, s) for s, t in self.pairs)
+        return self._plan.domain == self.source.full_mask
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateRelation):
@@ -235,68 +246,159 @@ class StateRelation:
         return f"StateRelation({self.source.id}->{self.target.id}, {sorted(self.pairs)})"
 
 
-def _mask_of(indices: list[int]) -> int:
-    bits = bytearray((max(indices) >> 3) + 1)
+# -- mask and index conversions ---------------------------------------------
+
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+# Listing a mask peels its lowest bit while it has fewer set bits than
+# this, which costs a few operations as wide as the mask per bit; otherwise
+# it walks one byte per position. Both costs grow with the width, and the
+# walk wins from 100 to 400 bits at 600 to 100001 states.
+_PEEL_BITS = 256
+
+
+def _flags(mask: int, size: int) -> bytes:
+    """One byte per index below size, 1 where mask has the bit."""
+    # the sentinel bit at size fixes the length; reversed, position i is bit i
+    return bin(mask | 1 << size)[:2:-1].encode().translate(_DIGITS)
+
+
+def _indices(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    if mask.bit_count() < _PEEL_BITS:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_DIGITS)))
+
+
+def _mask_of(indices: Sequence[int]) -> int:
+    """The mask with exactly the bits at the (nonnegative) indices set."""
+    if len(indices) < 16:
+        mask = 0
+        for i in indices:
+            mask |= 1 << i
+        return mask
+    top = max(indices)
+    if len(indices) * 32 < top:
+        bits = bytearray((top >> 3) + 1)
+        for i in indices:
+            bits[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(bits, "little")
+    # dense: one binary digit per position, read back by int() in one pass
+    digits = bytearray(b"0") * (top + 1)
     for i in indices:
-        bits[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(bits, "little")
+        digits[i] = 49  # "1"
+    return int(digits[::-1], 2)
 
 
-class PreImagePlan:
-    """Pre-image of a relation as a few shifted masks plus per-target masks.
+def _gather(keys: array, values: array, mask: int, size: int) -> int:
+    """Mask of values[i] for every i whose keys[i] is set in mask, where
+    every key is below size."""
+    # a bit test per key is as wide as the mask; flags cost about 64 of them
+    if len(keys) < 64:
+        return _mask_of([v for k, v in zip(keys, values) if mask >> k & 1])
+    return _mask_of(list(compress(values, itemgetter(*keys)(_flags(mask, size)))))
 
-    The edges (s, t) are grouped by shift d = t - s. A shift class with at
-    least two edges becomes one source mask S_d, and every edge of a
-    single-edge shift goes to a per-target source mask P_t, so
 
-        pre_image(B) = OR_d S_d & (B >> d)  |  OR_{t in B} P_t
+class EdgePlan:
+    """The edges of a relation as shift masks S_d, target masks P_t and a
+    remainder of index arrays (see the module docstring):
 
-    (a negative d shifts left). When that would need more classes than the
-    relation has distinct targets, every edge goes to a per-target mask
-    instead, so an unstructured relation costs one OR per target in B, as
-    a table of predecessor rows would.
+        pre_image(B) = OR_d S_d & (B >> d) | OR_{t in B} P_t | rest^-1(B)
+        image(A)     = OR_d (A & S_d) << d | {t : A & P_t} | rest(A)
+
+    `right` holds the shifts d >= 0 as (d, S_d), `left` the shifts d < 0 as
+    (-d, S_d), `columns` maps t to P_t, and the remainder is the edges
+    (rest_sources[i], rest_targets[i]), sorted. `successors` reads one byte
+    per state of each mask, built on its first call.
     """
 
-    __slots__ = ("right", "left", "targets", "preds")
+    __slots__ = (
+        "source_size", "target_size", "right", "left", "columns", "column_mask",
+        "rest_sources", "rest_targets", "domain", "_rows",
+    )
 
-    def __init__(self, pairs: frozenset[tuple[int, int]]):
+    def __init__(self, pairs: frozenset[tuple[int, int]], source_size: int, target_size: int):
+        self.source_size = source_size
+        self.target_size = target_size
+        least = max(2, source_size >> 10)
         by_shift: dict[int, list[int]] = {}
         for s, t in pairs:
             by_shift.setdefault(t - s, []).append(s)
-        shared = {d for d, sources in by_shift.items() if len(sources) > 1}
-        singles = {sources[0] + d for d, sources in by_shift.items() if len(sources) == 1}
-        if len(shared) + len(singles) > len({t for _, t in pairs}):
-            shared = set()
-        by_target: dict[int, list[int]] = {}
-        for d, sources in by_shift.items():
-            if d not in shared:
-                for s in sources:
-                    by_target.setdefault(s + d, []).append(s)
-        masks = sorted((d, _mask_of(by_shift[d])) for d in shared)
+        shifts = {d for d, sources in by_shift.items() if len(sources) >= least}
+        by_target = _by_target(by_shift, shifts)
+        if shifts and len(shifts) + len(by_target) > len({t for _, t in pairs}):
+            # grouping by shift leaves more groups than grouping by target
+            shifts = set()
+            by_target = _by_target(by_shift, shifts)
+        columns = {t for t, sources in by_target.items() if len(sources) >= least}
+        masks = sorted((d, _mask_of(by_shift[d])) for d in shifts)
         self.right = tuple((d, m) for d, m in masks if d >= 0)
         self.left = tuple((-d, m) for d, m in masks if d < 0)
-        self.preds = {t: _mask_of(sources) for t, sources in by_target.items()}
-        self.targets = _mask_of(list(self.preds)) if self.preds else 0
+        self.columns = {t: _mask_of(by_target[t]) for t in sorted(columns)}
+        self.column_mask = _mask_of(list(self.columns))
+        rest = sorted((s, t) for t, sources in by_target.items() if t not in columns
+                      for s in sources)
+        self.rest_sources = array("q", [s for s, _ in rest])
+        self.rest_targets = array("q", [t for _, t in rest])
+        domain = _mask_of(self.rest_sources)
+        for _, m in masks:
+            domain |= m
+        for m in self.columns.values():
+            domain |= m
+        self.domain = domain
+        self._rows: tuple[tuple[bytes, int, bool], ...] | None = None
 
-    def apply(self, mask: int) -> int:
+    def pre_image(self, mask: int) -> int:
         acc = 0
         for d, sources in self.right:
             acc |= sources & (mask >> d)
         for d, sources in self.left:
             acc |= sources & (mask << d)
-        rest = mask & self.targets
-        preds = self.preds
-        # peeling costs a few operations as wide as B per target, walking
-        # bin(B) one cheap step per bit position; the walk wins from about
-        # one target per 8 positions at 3000 states and per 12 at 6000, and
-        # 16 errs towards the walk, whose step cost does not grow with B
-        if rest.bit_count() * 16 < rest.bit_length():
-            while rest:
-                low = rest & -rest
-                acc |= preds[low.bit_length() - 1]
-                rest ^= low
-        elif rest:
-            # reversed, position i of bin(rest) is target i
-            for sources in [preds[t] for t, bit in enumerate(bin(rest)[:1:-1]) if bit == "1"]:
-                acc |= sources
+        columns = self.columns
+        for t in _indices(mask & self.column_mask):
+            acc |= columns[t]
+        if self.rest_sources:
+            acc |= _gather(self.rest_targets, self.rest_sources, mask, self.target_size)
         return acc
+
+    def image(self, mask: int) -> int:
+        acc = 0
+        for d, sources in self.right:
+            acc |= (mask & sources) << d
+        for d, sources in self.left:
+            acc |= (mask & sources) >> d
+        acc |= _mask_of([t for t, sources in self.columns.items() if mask & sources])
+        if self.rest_sources:
+            acc |= _gather(self.rest_sources, self.rest_targets, mask, self.source_size)
+        return acc
+
+    def successors(self, x: int) -> tuple[int, ...]:
+        rows = self._rows
+        if rows is None:
+            n = self.source_size
+            rows = self._rows = (
+                tuple((_flags(m, n), d, True) for d, m in self.right)
+                + tuple((_flags(m, n), -d, True) for d, m in self.left)
+                + tuple((_flags(m, n), t, False) for t, m in self.columns.items())
+            )
+        out = [x + t if shift else t for flags, t, shift in rows if flags[x]]
+        rest = self.rest_sources
+        if rest:
+            lo = bisect_left(rest, x)
+            out += self.rest_targets[lo:bisect_right(rest, x, lo)]
+        out.sort()
+        return tuple(out)
+
+
+def _by_target(by_shift: dict[int, list[int]], skip: set[int]) -> dict[int, list[int]]:
+    by_target: dict[int, list[int]] = {}
+    for d, sources in by_shift.items():
+        if d not in skip:
+            for s in sources:
+                by_target.setdefault(s + d, []).append(s)
+    return by_target

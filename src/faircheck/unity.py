@@ -314,7 +314,7 @@ class FairLasso:
                 raise EngineDefect(f"invalid lasso: {message}")
 
         def connected(a: int, b: int) -> bool:
-            return any(rel.successors_mask(a) >> b & 1 for rel in rels.values())
+            return any(b in rel.successors(a) for rel in rels.values())
 
         require(bool(self.cycle), "cycle must be nonempty")
         walk = list(self.stem) + list(self.cycle)
@@ -337,7 +337,7 @@ class FairLasso:
             require(kind == "taken", f"unknown justification kind {kind!r}")
             s, t = witness  # type: ignore[misc]
             require((s, t) in pairs, "taken transition must appear in the cycle")
-            require(bool(rels[label].successors_mask(s) >> t & 1), "transition not in the event")
+            require(t in rels[label].successors(s), "transition not in the event")
 
 
 @dataclass(frozen=True)
@@ -446,8 +446,9 @@ def semantic_leadsto(sys: EventSystem, p: StateSet, q: StateSet) -> OracleResult
     reachable deadlock or a reachable strongly connected component in which
     every event is disabled at some state or has a transition staying inside
     the component. Either finding refutes the property and is returned as a
-    concrete witness. It makes a number of mask operations linear in the
-    reachable states and edges.
+    concrete witness. Guards and the complement of q are read as one byte
+    per state and successors as index lists, so its work is linear in the
+    reachable states and edges once those are built.
 
     Testing the maximal components suffices under weak fairness, with no
     Emerson-Lei-style recursive decomposition. An avoiding fair run ends up
@@ -467,8 +468,8 @@ def semantic_leadsto(sys: EventSystem, p: StateSet, q: StateSet) -> OracleResult
     rows = []
     for label in labels:
         guard, rel = _event_edges(sys.events[label])
-        rows.append((label, guard.mask, rel.successors_mask))
-    avoid_mask = q.complement().mask
+        rows.append((label, guard.flags(), rel.successors))
+    avoid = q.complement().flags()
 
     # reachable part of the q-avoiding graph; per state, the enabled events
     # and each event's avoiding successors in ascending order
@@ -481,18 +482,14 @@ def semantic_leadsto(sys: EventSystem, p: StateSet, q: StateSet) -> OracleResult
         x = frontier.pop()
         outs: dict[str, list[int]] = {}
         here: set[str] = set()
-        for label, guard_mask, succ in rows:
-            m = succ(x) if guard_mask >> x & 1 else 0
-            if not m:
+        for label, guard, succ in rows:
+            targets = succ(x) if guard[x] else ()
+            if not targets:
                 continue
             here.add(label)
-            m &= avoid_mask
-            if m:
-                targets = outs[label] = []
-                while m:
-                    low = m & -m
-                    targets.append(low.bit_length() - 1)
-                    m ^= low
+            kept = [t for t in targets if avoid[t]]
+            if kept:
+                outs[label] = kept
         by_label[x] = outs
         enabled[x] = here
         merged = sorted({t for ts in outs.values() for t in ts})

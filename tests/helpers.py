@@ -5,9 +5,10 @@ check: the structural weakest precondition recursion never uses the pairing
 identity, the fair-avoidance decision enumerates candidate components
 as raw subsets instead of running the engine's SCC pass, and the refinement
 simulation reference quantifies over every concrete subset using the raw
-gluing pairs. The pre-image reference walks the raw pairs, and the
-structural recursion reads a primitive command by scanning every state,
-so neither uses the shift-class kernel.
+gluing pairs. The pre-image and image references, the structural
+recursion's reading of a primitive command and the successor lists of
+generated systems all walk the raw pairs, so none of them uses the edge
+plan a relation is stored as.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import importlib.util
 import random
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
@@ -116,11 +118,23 @@ class GenSystem:
     def space(self) -> StateSpace:
         return self.system.space
 
+    @cached_property
+    def _successors(self) -> dict[str, dict[int, tuple[int, ...]]]:
+        table: dict[str, dict[int, list[int]]] = {label: {} for label in self.rels}
+        for label, rel in self.rels.items():
+            for s, t in rel.pairs:
+                table[label].setdefault(s, []).append(t)
+        return {
+            label: {s: tuple(sorted(ts)) for s, ts in rows.items()}
+            for label, rows in table.items()
+        }
+
     def enabled(self, label: str, state: int) -> bool:
-        return state in self.guards[label] and self.rels[label].successors_mask(state) != 0
+        return state in self.guards[label] and bool(self.successors(label, state))
 
     def successors(self, label: str, state: int) -> tuple[int, ...]:
-        return self.rels[label].successors(state).members()
+        """Read off the raw pairs, not the relation's own index."""
+        return self._successors[label].get(state, ())
 
 
 def random_event(rng: random.Random, space: StateSpace) -> tuple[StateSet, StateRelation]:
@@ -178,12 +192,8 @@ def structural_wp(c: Command, r: StateSet) -> StateSet:
     if isinstance(c, Skip):
         return r
     if isinstance(c, Prim):
-        members = [
-            x
-            for x in range(space.size)
-            if c.rel.successors_mask(x) & ~r.mask & space.full_mask == 0
-        ]
-        return space.subset(members)
+        escapes = {s for s, t in c.rel.pairs if not r.mask >> t & 1}
+        return space.subset(x for x in range(space.size) if x not in escapes)
     if isinstance(c, Guard):
         return c.guard.complement() | structural_wp(c.body, r)
     if isinstance(c, Precond):
@@ -450,7 +460,7 @@ def split_refinement(
         guard_members = [y for y in range(v.size) if to_abstract[y] in guard_u]
         pairs = []
         for y in guard_members:
-            abstract_targets = rel_u.successors(to_abstract[y]).members()
+            abstract_targets = rel_u.successors(to_abstract[y])
             if not abstract_targets:
                 continue
             lifted = [t for x2 in abstract_targets for t in fiber[x2]]
@@ -477,7 +487,7 @@ def split_refinement(
 
 
 # ---------------------------------------------------------------------------
-# Pre-image kernel: per-pair reference and relation families
+# Edge plan: per-pair references and relation families
 # ---------------------------------------------------------------------------
 
 
@@ -490,9 +500,19 @@ def pair_pre_image(rel: StateRelation, mask: int) -> int:
     return out
 
 
+def pair_image(rel: StateRelation, mask: int) -> int:
+    """Targets of the pairs whose source bit is set in mask, pair by pair."""
+    out = 0
+    for s, t in rel.pairs:
+        if mask >> s & 1:
+            out |= 1 << t
+    return out
+
+
 def kernel_relations(rng: random.Random) -> list[tuple[str, StateRelation]]:
-    """Seeded relations of every shape the pre-image kernel distinguishes,
-    at sizes below and above one machine word."""
+    """Seeded relations of every shape the edge plan distinguishes, at sizes
+    below and above one machine word, and large enough that a mask needs
+    more than two edges."""
     out: list[tuple[str, StateRelation]] = []
     for n in (1, 5, 70, 200):
         space = StateSpace(f"k{n}", n)
@@ -519,7 +539,21 @@ def kernel_relations(rng: random.Random) -> list[tuple[str, StateRelation]]:
             + [(s, 0) for s in guard if rng.random() < 0.2],
         )
         rel("sparse-random", [(s, t) for s in range(n) for t in range(n) if rng.random() < 0.02])
-    for m, k in ((1, 3), (7, 3), (12, 5), (90, 40), (40, 90)):
+    # from 3072 states on a mask needs more than two edges, so short shifts
+    # and targets with few sources go to the index remainder
+    n = 12000
+    space = StateSpace(f"k{n}", n)
+    for kind, pairs in (
+        ("wrap", [(s, (s + 1) % n) for s in range(n)]),
+        ("short-shift", [(s, s + 3) for s in range(0, 40, 5)] + [(s, s - 2) for s in range(2, n)]),
+        ("few-targets", [(s, s % 7 * 1000) for s in range(n)] + [(s, n - 1) for s in range(0, n, 2400)]),
+        ("random-3-out", [(s, rng.randrange(n)) for s in range(n) for _ in range(3)]),
+        ("ring-events", [(s, s + 1) for s in range(n - 1) if rng.random() < 0.7]
+         + [(s, s - 40) for s in range(40, n) if rng.random() < 0.5]
+         + [(s, n - 1) for s in range(n) if rng.random() < 0.05]),
+    ):
+        out.append((f"{kind}/{n}", StateRelation(space, space, pairs)))
+    for m, k in ((1, 3), (7, 3), (12, 5), (90, 40), (40, 90), (2000, 700)):
         concrete, abstract = StateSpace(f"c{m}", m), StateSpace(f"a{k}", k)
         total = [(y, rng.randrange(k)) for y in range(m)]
         out.append((f"gluing/{m}->{k}", StateRelation(concrete, abstract, total)))

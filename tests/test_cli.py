@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -323,3 +325,71 @@ def test_nesting_within_the_limit_is_checked(tmp_path, capsys, depth):
     code, out = _run(capsys, "check", str(path))
     assert code == 0
     assert "ENS:P" in out
+
+
+CHAINED = """system s
+  var x : 0..3
+  event inc when {guard} then x := {update} end
+  event done when x = 3 then x := 0 end
+end
+property P ensures helpful {{inc}} from {frm} to x = 1
+property L leadsto from {frm} to x = 3
+"""
+
+
+@pytest.mark.parametrize(
+    "guard, update, frm",
+    [
+        pytest.param(" and ".join(["x < 3"] * 3000), "x + 1", "x = 0", id="and"),
+        pytest.param("x < 3", " + ".join(["x"] + ["0"] * 2998 + ["1"]), "x = 0", id="plus"),
+        pytest.param("x < 3", " - ".join(["x + 1"] + ["0"] * 2999), "x = 0", id="minus"),
+        pytest.param("x < 3", " * ".join(["x"] + ["1"] * 2999) + " + 1", "x = 0", id="times"),
+        pytest.param("x < 3", "x + 1", " or ".join(["x = 0"] * 3000), id="or"),
+    ],
+)
+def test_long_operator_chains_are_evaluated_without_recursion(tmp_path, capsys, guard, update, frm):
+    # a chain of 3000 operators gives the same report as the plain model
+    chained, plain = tmp_path / "chained.fb", tmp_path / "plain.fb"
+    chained.write_text(CHAINED.format(guard=guard, update=update, frm=frm))
+    plain.write_text(CHAINED.format(guard="x < 3", update="x + 1", frm="x = 0"))
+    code, out = _run(capsys, "report", str(chained))
+    assert code == 0
+    assert "ENS:P" in out and "ORACLE:L" in out
+    assert out.replace(str(chained), "M") == _run(capsys, "report", str(plain))[1].replace(
+        str(plain), "M"
+    )
+
+
+def _ring(n: int) -> str:
+    return "\n".join([
+        "system ring",
+        f"  var x : 0..{n}",
+        f"  event inc when x < {n} then x := x + 1 end",
+        f"  event back when x > 0 and x < {n} then x := x - 1 end",
+        f"  event done when x < {n} then x := {n} end",
+        "end",
+        f"property E ensures helpful {{done}} from x < {n} to x = {n}",
+        f"property L leadsto from x < {n} to x = {n}",
+    ]) + "\n"
+
+
+def test_report_keeps_no_model_alive(tmp_path, capsys, monkeypatch):
+    # a module-level cache of commands or relations would keep them alive
+    # after the run, and memory would grow with every model checked
+    path = tmp_path / "ring.fb"
+    path.write_text(_ring(40))
+    refs = []
+    elaborate = cli.elaborate
+
+    def recording(*args, **kwargs):
+        model = elaborate(*args, **kwargs)
+        for event in model.systems["ring"].system.events.values():
+            refs.extend((weakref.ref(event), weakref.ref(event.body.rel)))
+        return model
+
+    monkeypatch.setattr(cli, "elaborate", recording)
+    code, out = _run(capsys, "report", str(path))
+    assert code == 0 and "ENS:E" in out and "ORACLE:L" in out
+    gc.collect()
+    assert len(refs) == 6
+    assert all(ref() is None for ref in refs)

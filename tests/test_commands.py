@@ -15,6 +15,7 @@ from faircheck import (
     SpaceMismatchError,
     StateRelation,
     StateSpace,
+    commands,
     conjunctivity_check,
     grd_of,
     liberal_apply,
@@ -86,6 +87,23 @@ def test_grd_of_cases():
     total_on_g = Prim(StateRelation(space, space, [(0, 1), (1, 2)]))
     assert grd_of(Guard(g, total_on_g)) == g
     assert grd_of(magic(space)).is_empty()
+
+
+def test_pre_and_grd_are_computed_once_per_command(monkeypatch):
+    space = StateSpace("u", 3)
+    event = Guard(space.subset([0, 1]), Prim(StateRelation(space, space, [(0, 1), (1, 2)])))
+    command = Dovetail(event, Seq(event, event))
+    first = (pre_of(command), grd_of(command))
+    calls = []
+    real = commands.liberal_apply
+    monkeypatch.setattr(commands, "liberal_apply", lambda c, r: calls.append(c) or real(c, r))
+    assert (pre_of(command), grd_of(command)) == first
+    assert pre_of(command) is first[0] and grd_of(command) is first[1]
+    assert calls == []
+    # the memo belongs to the instance: an equal command computes its own
+    twin = Dovetail(event, Seq(event, event))
+    assert twin == command and pre_of(twin) == first[0]
+    assert calls
 
 
 def test_space_mismatch():

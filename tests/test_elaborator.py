@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
 
 from faircheck import check_ensures, check_unless, grd_of, semantic_leadsto
-from faircheck.elaborator import ElaborationError, elaborate, eval_pred
+from faircheck.elaborator import ElaborationError, elaborate, eval_expr, eval_pred
 from faircheck.parser import parse_document
 
 CTR_SOURCE = (Path(__file__).parent.parent / "models" / "ctr.fb").read_text()
@@ -55,7 +56,7 @@ def test_refinement_elaboration_gluing():
     assert pair.gluing.is_total()
     # every concrete state glues to the abstract state with the same y
     for y_index, val in enumerate(refinement.concrete.valuations):
-        glued = pair.gluing.successors(y_index).members()
+        glued = pair.gluing.successors(y_index)
         assert len(glued) == 1
         abstract_val = model.systems["ctr"].valuations[glued[0]]
         assert abstract_val["x"] == val["y"]
@@ -191,3 +192,35 @@ def test_scripts_elaborate_with_generated_weakenings():
     assert script.source == "ctr2"
     # inline brl steps generated their own trivial ensures properties
     assert any(name.startswith("main:") for name in script.extra_ensures)
+
+
+def _chain(rng: random.Random, terms: int, ops: tuple[str, ...], operand) -> str:
+    parts = [operand()]
+    for _ in range(terms - 1):
+        parts += [rng.choice(ops), operand()]
+    return " ".join(parts)
+
+
+def test_mixed_operator_chains_evaluate_as_python_does():
+    # a chain mixes operators of two precedence levels, so its tree's left
+    # spine holds both; Python evaluates the same text as the reference
+    rng = random.Random(8)
+    env = {"x": 3, "y": -2}
+
+    def arith(terms: int) -> str:
+        return _chain(rng, terms, ("+", "-", "*"), lambda: rng.choice(["x", "y", "1", "2", "5"]))
+
+    def comparison() -> str:
+        return f"{rng.choice(['', 'not '])}{arith(3)} {rng.choice(['<', '>=', '/='])} 2"
+
+    for _ in range(40):
+        expr, pred = arith(60), _chain(rng, 60, ("and", "or"), comparison)
+        source = (
+            f"system s\n var x : 0..3\n var y : -2..0\n"
+            f" event e when {pred} then x := {expr} end\nend\n"
+        )
+        result = parse_document(source)
+        assert result.ok, result.diagnostics
+        event = result.document.systems[0].events[0]
+        assert eval_expr(event.updates[0].value, env) == eval(expr, {}, dict(env))
+        assert eval_pred(event.guard, env) == eval(pred.replace("/=", "!="), {}, dict(env))

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
 from faircheck import SpaceMismatchError, StateRelation, StateSet, StateSpace
-from faircheck.sets import PreImagePlan
-from helpers import kernel_relations, model_relations, pair_pre_image
+from faircheck.sets import EdgePlan
+from helpers import kernel_relations, model_relations, pair_image, pair_pre_image
 
 
 def test_complement_of_empty_is_universe():
@@ -132,17 +134,21 @@ def _distinct_targets(rel: StateRelation) -> int:
     return len({t for _, t in rel.pairs})
 
 
-def _classes(plan: PreImagePlan) -> int:
+def _classes(plan: EdgePlan) -> int:
     """Shift masks plus per-target masks."""
-    return len(plan.right) + len(plan.left) + len(plan.preds)
+    return len(plan.right) + len(plan.left) + len(plan.columns)
+
+
+def _relations(family: str, seed: int) -> list[tuple[str, StateRelation]]:
+    relations = kernel_relations(random.Random(seed)) if family == "generated" else model_relations()
+    assert relations
+    return relations
 
 
 @pytest.mark.parametrize("family", ["generated", "models"])
 def test_pre_image_kernel_matches_pair_reference(family):
     rng = random.Random(2024)
-    relations = kernel_relations(rng) if family == "generated" else model_relations()
-    assert relations
-    for name, rel in relations:
+    for name, rel in _relations(family, 2024):
         for mask in _probe_masks(rng, rel.target):
             expect = pair_pre_image(rel, mask)
             assert rel.pre_image_mask(mask) == expect, (name, mask)
@@ -150,11 +156,32 @@ def test_pre_image_kernel_matches_pair_reference(family):
 
 
 @pytest.mark.parametrize("family", ["generated", "models"])
+def test_image_kernel_matches_pair_reference(family):
+    rng = random.Random(2025)
+    for name, rel in _relations(family, 2025):
+        for mask in _probe_masks(rng, rel.source):
+            expect = pair_image(rel, mask)
+            assert rel.image(StateSet(rel.source, mask)).mask == expect, (name, mask)
+
+
+@pytest.mark.parametrize("family", ["generated", "models"])
+def test_successors_and_totality_match_pair_reference(family):
+    for name, rel in _relations(family, 2026):
+        rows: dict[int, set[int]] = {}
+        for s, t in rel.pairs:
+            rows.setdefault(s, set()).add(t)
+        for s in range(rel.source.size):
+            expect = tuple(sorted(rows.get(s, ())))
+            assert rel.successors(s) == expect, (name, s)
+            assert rel.successors_mask(s) == sum(1 << t for t in expect), (name, s)
+        assert rel.domain().members() == tuple(sorted(rows)), name
+        assert rel.is_total() == (len(rows) == rel.source.size), name
+
+
+@pytest.mark.parametrize("family", ["generated", "models"])
 def test_pre_image_plan_has_at_most_one_class_per_target(family):
-    rng = random.Random(77)
-    relations = kernel_relations(rng) if family == "generated" else model_relations()
-    for name, rel in relations:
-        assert _classes(PreImagePlan(rel.pairs)) <= _distinct_targets(rel), name
+    for name, rel in _relations(family, 77):
+        assert _classes(rel._plan) <= _distinct_targets(rel), name
 
 
 def test_pre_image_plan_shapes():
@@ -164,26 +191,115 @@ def test_pre_image_plan_shapes():
         space,
         [(s, s + 7) for s in range(250)] + [(s, s - 2) for s in range(2, 300)] + [(10, 0)],
     )
-    plan = PreImagePlan(ring.pairs)
-    # two shift classes and the single edge of shift -10, kept per target
+    plan = EdgePlan(ring.pairs, 300, 300)
+    # two shift classes; the single edge of shift -10 is kept as indices
     assert [d for d, _ in plan.right] == [7]
     assert [d for d, _ in plan.left] == [2]
-    assert set(plan.preds) == {0}
-    assert _classes(plan) == 3
+    assert plan.columns == {}
+    assert list(zip(plan.rest_sources, plan.rest_targets)) == [(10, 0)]
+    assert _classes(plan) == 2
     complete = StateRelation(space, space, [(s, t) for s in range(300) for t in range(300)])
-    # 597 shared shifts and 2 single edges against 300 targets: per-target only
-    plan = PreImagePlan(complete.pairs)
+    # 597 shared shifts against 300 targets: per-target only
+    plan = EdgePlan(complete.pairs, 300, 300)
     assert plan.right == plan.left == ()
     assert _classes(plan) == 300
-    assert _classes(PreImagePlan(frozenset())) == 0
+    assert len(plan.rest_sources) == 0
+    assert _classes(EdgePlan(frozenset(), 1, 1)) == 0
+    # at 12000 states a mask needs 11 edges: 8 edges of shift +3 and the 5
+    # sources of target 11999 stay indices, the 7 large targets are masks
+    big = StateSpace("b", 12000)
+    pairs = (
+        [(s, s + 3) for s in range(0, 40, 5)]
+        + [(s, s % 7 * 1000) for s in range(12000)]
+        + [(s, 11999) for s in range(0, 12000, 2400)]
+    )
+    plan = StateRelation(big, big, pairs)._plan
+    assert plan.right == plan.left == ()
+    assert sorted(plan.columns) == [0, 1000, 2000, 3000, 4000, 5000, 6000]
+    assert len(plan.rest_sources) == 8 + 5
 
 
 def test_pre_image_plan_is_built_once_and_replaces_predecessor_rows():
     space = StateSpace("u", 10)
     rel = StateRelation(space, space, [(s, (s + 1) % 10) for s in range(10)])
-    assert rel._plan is None
-    rel.pre_image_mask(1)
     plan = rel._plan
     assert rel.inverse_image(space.subset([3])).members() == (2,)
+    assert rel.image(space.subset([9])).members() == (0,)
+    assert rel.successors(4) == (5,)
     assert rel._plan is plan
     assert not hasattr(rel, "_pred")
+
+
+def test_relation_keeps_no_successor_rows():
+    space = StateSpace("u", 10)
+    rel = StateRelation(space, space, [(s, (s + 1) % 10) for s in range(10)])
+    assert not hasattr(rel, "_succ")
+    assert set(vars(rel)) == {"source", "target", "pairs", "_plan"}
+
+
+def _reference_members(space: StateSpace, mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(space.size) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, 65, 300, 5000])
+def test_set_listing_and_construction_match_per_index_reference(size):
+    space = StateSpace("u", size)
+    rng = random.Random(size)
+    full = space.full_mask
+    masks = [0, full, 1, 1 << (size - 1), full >> 1, full & 0x5555 << (size // 2)]
+    masks += [rng.getrandbits(size) for _ in range(3)]  # dense
+    masks += [rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)]
+    masks += [sum(1 << rng.randrange(size) for _ in range(k)) for k in (2, 200, 300, 1000)]
+    for mask in masks:
+        mask &= full
+        a = StateSet(space, mask)
+        expect = _reference_members(space, mask)
+        assert a.members() == expect
+        assert tuple(a) == expect
+        assert len(a) == len(expect)
+        assert a.pretty() == "{" + ", ".join(map(str, expect)) + "}"
+        assert space.subset(expect) == a
+        assert space.subset(reversed(expect)) == a
+        assert space.subset(list(expect) * 2) == a
+        assert a.flags() == bytes(mask >> i & 1 for i in range(size))
+    for i in {0, size // 2, size - 1}:
+        assert space.singleton(i).members() == (i,)
+    with pytest.raises(ValueError):
+        space.singleton(size)
+    with pytest.raises(ValueError):
+        space.subset([0, -1])
+
+
+def _retained_bytes(n: int) -> int:
+    """Memory a relation on n states keeps, with every index built: a wrap
+    ring (+1 and -1 shifts), n - 1 as a common target, and a random sparse
+    remainder."""
+    space = StateSpace("r", n)
+    rng = random.Random(n)
+
+    def edges():
+        for s in range(n):
+            yield s, (s + 1) % n
+            yield s, (s - 1) % n
+            yield s, n - 1
+            if s % 16 == 0:
+                yield s, rng.randrange(n)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rel = StateRelation(space, space, edges())
+        rel.pre_image_mask(space.full_mask >> 1)
+        rel.image(StateSet(space, space.full_mask >> 1))
+        rel.successors(n // 2)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_relation_memory_grows_linearly():
+    # 4 times the states and edges take about 4 times the memory; one
+    # successor bigint per source state (n^2 / 8 bytes) makes it about 13
+    small, large = _retained_bytes(3000), _retained_bytes(12000)
+    assert large / small <= 5, (small, large)

@@ -242,7 +242,7 @@ def test_unless_pass_means_persistence_along_paths():
             nxt = []
             for x in frontier:
                 for rel in rels.values():
-                    for t in rel.successors(x).members():
+                    for t in rel.successors(x):
                         assert t in keep
                         if t in lhs and t not in rhs:
                             nxt.append(t)
