@@ -56,6 +56,14 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def eval_expr(e: Expr, env: Mapping[str, int]) -> int:
+    if isinstance(e, EInt):
+        return e.value
+    if isinstance(e, EVar):
+        if e.name not in env:
+            raise ElaborationError(f"unknown variable {e.name!r}")
+        return env[e.name]
+    if isinstance(e, ENeg):
+        return -eval_expr(e.inner, env)
     if isinstance(e, EBin):
         # The parser builds a chain a + b - c as a left-deep tree; walk its
         # left spine with a loop, so a long chain does not recurse once per
@@ -69,30 +77,26 @@ def eval_expr(e: Expr, env: Mapping[str, int]) -> int:
         for node in reversed(spine):
             value = _ARITH[node.op](value, eval_expr(node.right, env))
         return value
-    if isinstance(e, EVar):
-        if e.name not in env:
-            raise ElaborationError(f"unknown variable {e.name!r}")
-        return env[e.name]
-    if isinstance(e, EInt):
-        return e.value
-    if isinstance(e, ENeg):
-        return -eval_expr(e.inner, env)
     raise TypeError(e)
 
 
 _CMP = {
-    "=": operator.eq,
-    "/=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
+    "=": lambda a, b: a == b,
+    "/=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
 }
 
 
 def eval_pred(p: Pred, env: Mapping[str, int]) -> bool:
+    if isinstance(p, PBool):
+        return p.value
     if isinstance(p, PCmp):
         return _CMP[p.op](eval_expr(p.left, env), eval_expr(p.right, env))
+    if isinstance(p, PNot):
+        return not eval_pred(p.inner, env)
     if isinstance(p, (PAnd, POr)):
         # a left-deep chain of one connective, walked like eval_expr's;
         # "and" stops at the first false operand, "or" at the first true one
@@ -107,10 +111,6 @@ def eval_pred(p: Pred, env: Mapping[str, int]) -> bool:
         while operands and value != stop:
             value = eval_pred(operands.pop(), env)
         return value
-    if isinstance(p, PBool):
-        return p.value
-    if isinstance(p, PNot):
-        return not eval_pred(p.inner, env)
     if isinstance(p, PImp):
         return (not eval_pred(p.left, env)) or eval_pred(p.right, env)
     raise TypeError(p)

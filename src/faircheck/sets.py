@@ -29,7 +29,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -277,31 +276,17 @@ def _indices(mask: int) -> list[int]:
 
 def _mask_of(indices: Sequence[int]) -> int:
     """The mask with exactly the bits at the (nonnegative) indices set."""
-    if len(indices) < 16:
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return mask
-    top = max(indices)
-    if len(indices) * 32 < top:
-        bits = bytearray((top >> 3) + 1)
-        for i in indices:
-            bits[i >> 3] |= 1 << (i & 7)
-        return int.from_bytes(bits, "little")
-    # dense: one binary digit per position, read back by int() in one pass
-    digits = bytearray(b"0") * (top + 1)
+    bits = bytearray((max(indices, default=0) >> 3) + 1)
     for i in indices:
-        digits[i] = 49  # "1"
-    return int(digits[::-1], 2)
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
 
 
 def _gather(keys: array, values: array, mask: int, size: int) -> int:
     """Mask of values[i] for every i whose keys[i] is set in mask, where
     every key is below size."""
-    # a bit test per key is as wide as the mask; flags cost about 64 of them
-    if len(keys) < 64:
-        return _mask_of([v for k, v in zip(keys, values) if mask >> k & 1])
-    return _mask_of(list(compress(values, itemgetter(*keys)(_flags(mask, size)))))
+    flags = _flags(mask, size)
+    return _mask_of(list(compress(values, map(flags.__getitem__, keys))))
 
 
 class EdgePlan:
