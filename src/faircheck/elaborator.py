@@ -217,10 +217,11 @@ def _enumerate_valuations(
 
 
 def _successor_bindings(
-    updates: tuple[Update, ...], env: dict[str, int], context: str
+    updates: tuple[Update, ...], env: dict[str, int], context: str, budget: list[int]
 ) -> list[dict[str, int]]:
     """All post-states of one event from one pre-state; right-hand sides all
-    read the pre-state (simultaneous update)."""
+    read the pre-state (simultaneous update). budget is [spent, bound] of the
+    (state, binder value) pairs the event's any-blocks enumerate."""
     if any(isinstance(u, UAny) for u in updates):
         if len(updates) != 1:
             raise ElaborationError(f"{context}: an any-update must be the only update")
@@ -230,12 +231,18 @@ def _successor_bindings(
             raise ElaborationError(
                 f"{context}: any-binder {u.var!r} shadows an existing variable"
             )
+        budget[0] += max(u.hi - u.lo + 1, 0)
+        if budget[0] > budget[1]:
+            raise ElaborationError(
+                f"{context}: any-blocks enumerate more (state, value) pairs "
+                f"than the {budget[1]}-state bound"
+            )
         out: list[dict[str, int]] = []
         for z in range(u.lo, u.hi + 1):
             bound = dict(env)
             bound[u.var] = z
             if eval_pred(u.where, bound):
-                for succ in _successor_bindings(u.updates, bound, context):
+                for succ in _successor_bindings(u.updates, bound, context, budget):
                     succ.pop(u.var, None)
                     out.append(succ)
         return out
@@ -269,6 +276,7 @@ def _elaborate_events(
     index_of: dict[tuple[int, ...], int],
     var_names: list[str],
     membership_error: str,
+    max_states: int,
 ) -> dict[str, Command]:
     if not events:
         raise ElaborationError(f"{name}: no events declared")
@@ -279,6 +287,7 @@ def _elaborate_events(
         context = f"{name}.{decl.name}"
         guard_members = []
         pairs: list[tuple[int, int]] = []
+        budget = [0, max_states]
         for i, val in enumerate(valuations):
             try:
                 enabled = eval_pred(decl.guard, val)
@@ -287,7 +296,7 @@ def _elaborate_events(
             if not enabled:
                 continue
             guard_members.append(i)
-            for succ in _successor_bindings(decl.updates, dict(val), context):
+            for succ in _successor_bindings(decl.updates, dict(val), context, budget):
                 extraneous = set(succ) - set(var_names)
                 if extraneous:
                     raise ElaborationError(
@@ -302,7 +311,7 @@ def _elaborate_events(
                 pairs.append((i, index_of[key]))
         guard = space.subset(guard_members)
         command = Guard(guard, Prim(StateRelation(space, space, pairs)))
-        if not conjunctivity_check(command, samples=16).ok:
+        if not conjunctivity_check(command).ok:
             raise EngineDefect(f"{context}: elaborated event is not conjunctive")
         out[decl.name] = command
     return out
@@ -322,7 +331,7 @@ def _elaborate_system(decl: SystemDecl, max_states: int) -> ElaboratedSystem:
     }
     events = _elaborate_events(
         decl.name, decl.events, space, valuations, index_of, var_names,
-        "violates the invariant",
+        "violates the invariant", max_states,
     )
     try:
         system = EventSystem(space, events)
@@ -343,6 +352,12 @@ def _elaborate_refinement(
     var_names = [v.name for v in decl.variables]
     if not decl.gluings:
         raise ElaborationError(f"{decl.name}: a refinement needs a gluing predicate")
+    joint = len(all_vals) * abstract.space.size
+    if joint > max_states:
+        raise ElaborationError(
+            f"{decl.name}: the gluing evaluates {joint} (concrete, abstract) pairs, "
+            f"more than the {max_states}-state bound"
+        )
 
     glued: list[tuple[dict[str, int], list[int]]] = []
     for yval in all_vals:
@@ -371,7 +386,7 @@ def _elaborate_refinement(
 
     events = _elaborate_events(
         decl.name, decl.events, space, valuations, index_of, var_names,
-        "glues to no abstract state (gluing not total there)",
+        "glues to no abstract state (gluing not total there)", max_states,
     )
     try:
         concrete_system = EventSystem(space, events)

@@ -9,10 +9,10 @@ that has not settled by then is reported rather than looped on.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
+from .commands import CheckResult
 from .sets import SpaceMismatchError, StateSet, StateSpace
 
 
@@ -71,47 +71,21 @@ def iterate_chain(f: SetFunction, i: int, start: StateSet) -> StateSet:
     return current
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
-    ok: bool
-    witness: tuple[StateSet, StateSet] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def monotone_check(
-    f: SetFunction,
-    mode: Literal["exhaustive", "sampled"] = "exhaustive",
-    samples: int = 200,
-    rng: random.Random | None = None,
-) -> MonotoneReport:
+def monotone_check(f: SetFunction) -> CheckResult:
     """Check s <= t implies f(s) <= f(t); returns a witness pair on failure.
 
-    Exhaustive mode walks every ordered subset pair and requires size <= 12.
+    Every pair s <= t is joined by a chain of pairs that differ in one
+    state, so checking those pairs, t - {i} <= t, decides all of them.
+    Requires size <= 12.
     """
     space = f.space
     n = space.size
-    if mode == "exhaustive":
-        if n > 12:
-            raise ValueError(f"exhaustive monotonicity check needs size <= 12, got {n}")
-        table = [f(StateSet(space, m)).mask for m in range(1 << n)]
-        for t in range(1 << n):
-            ft = table[t]
-            # iterate proper submasks of t, plus the empty set
-            s = (t - 1) & t
-            while True:
-                if table[s] & ~ft:
-                    return MonotoneReport(False, (StateSet(space, s), StateSet(space, t)))
-                if s == 0:
-                    break
-                s = (s - 1) & t
-        return MonotoneReport(True)
-    rng = rng or random.Random(0)
-    for _ in range(samples):
-        s_mask = rng.getrandbits(n)
-        t_mask = s_mask | rng.getrandbits(n)
-        s, t = StateSet(space, s_mask), StateSet(space, t_mask)
-        if not f(s).is_subset(f(t)):
-            return MonotoneReport(False, (s, t))
-    return MonotoneReport(True)
+    if n > 12:
+        raise ValueError(f"monotonicity check needs size <= 12, got {n}")
+    table = [f(s).mask for s in space.all_subsets()]
+    for t in space.all_subsets():
+        for i in t:
+            s = t - space.singleton(i)
+            if table[s.mask] & ~table[t.mask]:
+                return CheckResult(False, (s, t))
+    return CheckResult(True)

@@ -112,39 +112,31 @@ def _check_property_space(sys: EventSystem, prop: EnsuresProperty) -> None:
         raise SpaceMismatchError(prop.p.space, sys.space, f"check {prop.name!r} against")
 
 
+def inclusion_report(
+    rid: str, inner: StateSet, outer: StateSet, narrative: str, refs: tuple[str, ...]
+) -> ObligationReport:
+    """The obligation "inner is a subset of outer": pass, or fail with the
+    states of inner outside outer as witnesses."""
+    if inner.is_subset(outer):
+        return ObligationReport(rid, "pass", refs=refs)
+    return ObligationReport(rid, "fail", (inner - outer).members(), narrative, refs)
+
+
 def check_wf0(sys: EventSystem, prop: EnsuresProperty) -> ObligationReport:
     """Every event keeps p | q when run from p & ~q."""
     _check_property_space(sys, prop)
-    active = prop.p & prop.q.complement()
-    kept = sys.apply(prop.p | prop.q)
-    if active.is_subset(kept):
-        return ObligationReport(f"WF0:{prop.name}", "pass", refs=(prop.name,))
-    bad = (active - kept).members()
-    return ObligationReport(
-        f"WF0:{prop.name}",
-        "fail",
-        witnesses=bad,
-        narrative="some event can leave p | q from these states",
-        refs=(prop.name,),
-    )
+    active, kept = prop.p - prop.q, sys.apply(prop.p | prop.q)
+    narrative = "some event can leave p | q from these states"
+    return inclusion_report(f"WF0:{prop.name}", active, kept, narrative, (prop.name,))
 
 
 def check_wf1(sys: EventSystem, prop: EnsuresProperty) -> ObligationReport:
     """The helpful choice is enabled on p & ~q and moves it into q."""
     _check_property_space(sys, prop)
     helpful, _ = split_system(sys, prop.helpful)
-    active = prop.p & prop.q.complement()
-    good = grd_of(helpful) & str_apply(helpful, prop.q)
-    if active.is_subset(good):
-        return ObligationReport(f"WF1:{prop.name}", "pass", refs=(prop.name,))
-    bad = (active - good).members()
-    return ObligationReport(
-        f"WF1:{prop.name}",
-        "fail",
-        witnesses=bad,
-        narrative="helpful events are disabled or may miss q from these states",
-        refs=(prop.name,),
-    )
+    active, good = prop.p - prop.q, grd_of(helpful) & str_apply(helpful, prop.q)
+    narrative = "helpful events are disabled or may miss q from these states"
+    return inclusion_report(f"WF1:{prop.name}", active, good, narrative, (prop.name,))
 
 
 def check_ensures(

@@ -22,6 +22,7 @@ from .obligations import (
     ModelError,
     ObligationReport,
     check_ensures,
+    inclusion_report,
 )
 from .sets import StateRelation, StateSet
 from .unity import LeadsTo, semantic_leadsto
@@ -163,22 +164,11 @@ def derived_inclusions(rp: RefinementPair, prop: EnsuresProperty) -> list[Obliga
         ("helpful-establishes", str_apply(helpful, q2), glued_active),
         ("new-keeps", str_apply(new, p2 | q2), glued_active),
     ]
-    reports = []
-    for tag, big, small in checks:
-        rid = f"DRV:{prop.name}:{tag}"
-        if small.is_subset(big):
-            reports.append(ObligationReport(rid, "pass", refs=(prop.name,)))
-        else:
-            reports.append(
-                ObligationReport(
-                    rid,
-                    "fail",
-                    witnesses=(small - big).members(),
-                    narrative="derived inclusion does not hold (engine defect?)",
-                    refs=(prop.name,),
-                )
-            )
-    return reports
+    narrative = "derived inclusion does not hold (engine defect?)"
+    return [
+        inclusion_report(f"DRV:{prop.name}:{tag}", small, big, narrative, (prop.name,))
+        for tag, big, small in checks
+    ]
 
 
 def check_sap(rp: RefinementPair, prop: EnsuresProperty) -> ObligationReport:
@@ -189,16 +179,8 @@ def check_sap(rp: RefinementPair, prop: EnsuresProperty) -> ObligationReport:
     guard = grd_of(helpful)
     active = rp.concrete_of(prop.p & prop.q.complement()) & guard
     kept = str_apply(others, guard)
-    rid = f"SAP:{prop.name}"
-    if active.is_subset(kept):
-        return ObligationReport(rid, "pass", refs=(prop.name,))
-    return ObligationReport(
-        rid,
-        "fail",
-        witnesses=(active - kept).members(),
-        narrative="a non-helpful concrete event can leave the refined helpful guard",
-        refs=(prop.name,),
-    )
+    narrative = "a non-helpful concrete event can leave the refined helpful guard"
+    return inclusion_report(f"SAP:{prop.name}", active, kept, narrative, (prop.name,))
 
 
 def lip_goal(rp: RefinementPair, prop: EnsuresProperty) -> LeadsTo:

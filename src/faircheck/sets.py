@@ -29,7 +29,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 class SpaceMismatchError(Exception):
@@ -179,20 +179,26 @@ class StateSet:
 class StateRelation:
     """A relation between two spaces, possibly partial and non-functional.
 
-    The edges are stored once, as an `EdgePlan`; `pairs` is the relation's
-    value for equality and hashing.
+    The edges are stored once, as an `EdgePlan`, which is canonical for a
+    given edge set and the two sizes; it is the relation's value for
+    equality and hashing, and `pairs` is read off it on demand.
     """
 
     def __init__(self, source: StateSpace, target: StateSpace, pairs: Iterable[tuple[int, int]]):
         self.source = source
         self.target = target
-        self.pairs = frozenset(pairs)
-        for s, t in self.pairs:
+        edges = set(pairs)
+        for s, t in edges:
             if not 0 <= s < source.size:
                 raise ValueError(f"relation source index {s} out of range for {source.id!r}")
             if not 0 <= t < target.size:
                 raise ValueError(f"relation target index {t} out of range for {target.id!r}")
-        self._plan = EdgePlan(self.pairs, source.size, target.size)
+        self._plan = EdgePlan(edges, source.size, target.size)
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """Every edge as a (source, target) tuple."""
+        return frozenset(self._plan.edges())
 
     @classmethod
     def identity(cls, space: StateSpace) -> "StateRelation":
@@ -229,17 +235,22 @@ class StateRelation:
         """True iff every source state is related to at least one target."""
         return self._plan.domain == self.source.full_mask
 
+    def _value(self) -> tuple:
+        """The two spaces and the edge plan, which is canonical for an edge set."""
+        plan = self._plan
+        return (
+            self.source.id, self.source.size, self.target.id, self.target.size,
+            plan.right, plan.left, tuple(plan.columns.items()),
+            plan.rest_sources.tobytes(), plan.rest_targets.tobytes(),
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateRelation):
             return NotImplemented
-        return (
-            self.source.same_as(other.source)
-            and self.target.same_as(other.target)
-            and self.pairs == other.pairs
-        )
+        return self._value() == other._value()
 
     def __hash__(self) -> int:
-        return hash((self.source.id, self.target.id, self.pairs))
+        return hash(self._value())
 
     def __repr__(self) -> str:
         return f"StateRelation({self.source.id}->{self.target.id}, {sorted(self.pairs)})"
@@ -307,7 +318,7 @@ class EdgePlan:
         "rest_sources", "rest_targets", "domain", "_rows",
     )
 
-    def __init__(self, pairs: frozenset[tuple[int, int]], source_size: int, target_size: int):
+    def __init__(self, pairs: Collection[tuple[int, int]], source_size: int, target_size: int):
         self.source_size = source_size
         self.target_size = target_size
         least = max(2, source_size >> 10)
@@ -361,6 +372,15 @@ class EdgePlan:
         if self.rest_sources:
             acc |= _gather(self.rest_sources, self.rest_targets, mask, self.source_size)
         return acc
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        for d, sources in self.right:
+            yield from ((s, s + d) for s in _indices(sources))
+        for d, sources in self.left:
+            yield from ((s, s - d) for s in _indices(sources))
+        for t, sources in self.columns.items():
+            yield from ((s, t) for s in _indices(sources))
+        yield from zip(self.rest_sources, self.rest_targets)
 
     def successors(self, x: int) -> tuple[int, ...]:
         rows = self._rows

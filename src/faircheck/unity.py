@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .commands import Command, Guard, Prim, grd_of, transition_relation
+from .commands import Command, Guard, Prim, grd_of, str_apply, transition_relation
 from .obligations import (
     EngineDefect,
     EnsuresProperty,
     EventSystem,
     ObligationReport,
     check_ensures,
+    inclusion_report,
 )
 from .sets import SpaceMismatchError, StateRelation, StateSet
 
@@ -63,18 +64,10 @@ def check_unless(sys: EventSystem, prop: Unless) -> ObligationReport:
     """lhs persists until rhs: every event keeps lhs | rhs from lhs & ~rhs."""
     if not prop.lhs.space.same_as(sys.space):
         raise SpaceMismatchError(prop.lhs.space, sys.space)
-    active = prop.lhs & prop.rhs.complement()
-    kept = sys.apply(prop.lhs | prop.rhs)
     name = prop.name or "unless"
-    if active.is_subset(kept):
-        return ObligationReport(f"UNL:{name}", "pass", refs=(name,))
-    return ObligationReport(
-        f"UNL:{name}",
-        "fail",
-        witnesses=(active - kept).members(),
-        narrative="some event can leave lhs | rhs from these states",
-        refs=(name,),
-    )
+    active, kept = prop.lhs - prop.rhs, sys.apply(prop.lhs | prop.rhs)
+    narrative = "some event can leave lhs | rhs from these states"
+    return inclusion_report(f"UNL:{name}", active, kept, narrative, (name,))
 
 
 def trivial_ensures(sys: EventSystem, name: str, p: StateSet, q: StateSet) -> EnsuresProperty:
@@ -305,16 +298,19 @@ class FairLasso:
     justifications: tuple[tuple[str, str, object], ...]  # (label, kind, witness)
 
     def validate(self, sys: EventSystem, p: StateSet, q: StateSet) -> None:
-        """Check the lasso against the transformer-derived relation of every
-        event; raises EngineDefect on the first violated condition."""
-        rels = {label: transition_relation(cmd) for label, cmd in sys.events.items()}
+        """Check the lasso against the events' transformers, one str
+        evaluation per event and edge: t is an e-successor of x iff x is in
+        grd(e) and outside str(e)(u - {t}). Raises EngineDefect on the first
+        violated condition."""
 
         def require(ok: bool, message: str) -> None:
             if not ok:
                 raise EngineDefect(f"invalid lasso: {message}")
 
-        def connected(a: int, b: int) -> bool:
-            return any(b in rel.successors(a) for rel in rels.values())
+        def connected(x: int, t: int, labels: Iterable[str] = sys.labels) -> bool:
+            avoid_t = sys.space.singleton(t).complement()
+            events = [sys.events[label] for label in labels]
+            return any(x in grd_of(e) and x not in str_apply(e, avoid_t) for e in events)
 
         require(bool(self.cycle), "cycle must be nonempty")
         walk = list(self.stem) + list(self.cycle)
@@ -337,7 +333,7 @@ class FairLasso:
             require(kind == "taken", f"unknown justification kind {kind!r}")
             s, t = witness  # type: ignore[misc]
             require((s, t) in pairs, "taken transition must appear in the cycle")
-            require(t in rels[label].successors(s), "transition not in the event")
+            require(connected(s, t, (label,)), "transition not in the event")
 
 
 @dataclass(frozen=True)

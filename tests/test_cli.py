@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import subprocess
+import sys
+import time
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -120,6 +124,58 @@ def test_max_states_flag(capsys, tmp_path):
     )
     assert run_cli(["check", str(model), "--max-states", "100"]) == 2
     assert run_cli(["check", str(model), "--max-states", "20000"]) == 0
+
+
+HOSTILE_ANY = """system s
+ var x : 0..1
+ event pick when true then any z : 0..1000000000000 where z = 1 then x := z end end
+end
+"""
+
+WIDE_GLUING = """system a
+ var x : 0..2047
+ event e when true then x := x end
+end
+refinement c refines a
+ var y : 0..2047
+ gluing y = x
+ event e2 refines e when true then y := y end
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "text, diagnostic",
+    [
+        pytest.param(
+            HOSTILE_ANY,
+            f"s.pick: any-blocks enumerate more (state, value) pairs than the "
+            f"{1 << 20}-state bound",
+            id="any",
+        ),
+        pytest.param(
+            WIDE_GLUING,
+            f"c: the gluing evaluates {2048 * 2048} (concrete, abstract) pairs, "
+            f"more than the {1 << 20}-state bound",
+            id="gluing",
+        ),
+    ],
+)
+def test_unbounded_enumerations_stop_at_the_state_bound(tmp_path, text, diagnostic):
+    # a fresh process with a timeout, so an unbounded enumeration fails the
+    # test instead of hanging it
+    path = tmp_path / "hostile.fb"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "faircheck", "check", str(path)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 2
+    assert diagnostic in result.stderr
+    assert elapsed < 1, elapsed
 
 
 def test_refine_19_concrete_states_is_checked_exactly(capsys, tmp_path):

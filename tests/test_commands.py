@@ -234,21 +234,17 @@ def test_conjunctivity_check_medium_space_path():
     assert conjunctivity_check(c).ok
 
 
-def test_conjunctivity_witness_on_angelic_function():
-    # internal probe: a hand-made non-conjunctive mapping must produce a
-    # concrete witness pair through the same pair-scan used for commands
-    from faircheck.commands import _table
-
-    space = StateSpace("u", 3)
-    angelic = lambda r: space.universe() if not r.is_empty() else space.empty()
-    tab = _table(angelic, space)
-    found = None
-    for a in range(8):
-        for b in range(8):
-            if tab[a & b] != tab[a] & tab[b]:
-                found = (a, b)
-                break
-    assert found is not None
+def test_conjunctivity_witness_on_angelic_function(monkeypatch):
+    # internal probe: with str replaced by a hand-made non-conjunctive
+    # mapping, the exact meet test must return a pair it fails on
+    for size in (3, 9):
+        space = StateSpace("u", size)
+        angelic = lambda r: space.universe() if not r.is_empty() else space.empty()
+        monkeypatch.setattr(commands, "str_apply", lambda c, r: angelic(r))
+        report = conjunctivity_check(Skip(space))
+        assert not report.ok, size
+        a, b = report.witness
+        assert angelic(a & b) != angelic(a) & angelic(b), size
 
 
 def test_transition_relation_roundtrip():

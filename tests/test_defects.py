@@ -30,7 +30,7 @@ def test_failed_fair_loop_self_check_raises(ctr, monkeypatch):
 
 def test_non_conjunctive_elaborated_event_raises(monkeypatch):
     monkeypatch.setattr(
-        "faircheck.elaborator.conjunctivity_check", lambda c, samples: CheckResult(False)
+        "faircheck.elaborator.conjunctivity_check", lambda c: CheckResult(False)
     )
     doc = parse_document((ROOT / "models" / "ctr.fb").read_text()).document
     with pytest.raises(EngineDefect, match=r"ctr\.inc: elaborated event is not conjunctive"):

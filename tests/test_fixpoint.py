@@ -138,15 +138,6 @@ def test_monotone_check_exhaustive_and_witness():
     assert not flip(space.empty()).is_subset(flip(space.universe()))
 
 
-def test_monotone_check_sampled_mode():
-    rng = random.Random(3)
-    space = StateSpace("u", 9)
-    grow = SetFunction(space, lambda x: x | space.subset([0]))
-    assert monotone_check(grow, mode="sampled", rng=rng).ok
-    flip = SetFunction(space, lambda x: x.complement())
-    assert not monotone_check(flip, mode="sampled", rng=rng).ok
-
-
 def test_monotone_check_exhaustive_size_gate():
     space = StateSpace("u", 13)
     ident = SetFunction(space, lambda x: x)

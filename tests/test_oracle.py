@@ -16,6 +16,7 @@ from faircheck import (
     StateRelation,
     StateSet,
     StateSpace,
+    commands,
     semantic_leadsto,
 )
 from faircheck.elaborator import elaborate
@@ -312,6 +313,27 @@ def test_oracle_reads_a_2000_state_ring_without_transformers(monkeypatch):
     ((system, p, q),) = _leadsto_cases(_ring_text(2000, "pass"))
     _forbid_transformers(monkeypatch)
     assert semantic_leadsto(system, p, q) == OracleResult(True)
+
+
+def test_lasso_validation_costs_one_str_call_per_event_and_edge(monkeypatch):
+    # avoiding x >= 3 from x = 0, the lasso is short in a 2002-state space
+    ((system, _, _),) = _leadsto_cases(_ring_text(2001, "lasso"))
+    p, q = system.space.singleton(0), system.space.subset(range(3, system.space.size))
+    lasso = semantic_leadsto(system, p, q).lasso
+    assert len(lasso.stem) + len(lasso.cycle) <= 3
+    real = commands.str_apply
+    calls = []
+
+    def counted(c, r):
+        calls.append(r)
+        return real(c, r)
+
+    monkeypatch.setattr("faircheck.commands.str_apply", counted)
+    monkeypatch.setattr("faircheck.unity.str_apply", counted, raising=False)
+    lasso.validate(system, p, q)
+    events = len(system.labels)
+    bound = (len(lasso.stem) + len(lasso.cycle) + 1) * events + len(lasso.justifications)
+    assert len(calls) <= bound, (len(calls), bound)
 
 
 def _guard_wider_than_domain(rng: random.Random, size: int, n_events: int) -> GenSystem:

@@ -234,7 +234,26 @@ def test_relation_keeps_no_successor_rows():
     space = StateSpace("u", 10)
     rel = StateRelation(space, space, [(s, (s + 1) % 10) for s in range(10)])
     assert not hasattr(rel, "_succ")
-    assert set(vars(rel)) == {"source", "target", "pairs", "_plan"}
+    assert set(vars(rel)) == {"source", "target", "_plan"}
+
+
+def test_pairs_and_equality_are_read_off_the_plan():
+    rng = random.Random(11)
+    for n in (5, 200, 12000):
+        space = StateSpace("u", n)
+        raw = [(s, (s + 1) % n) for s in range(n)] + [(s, s // 2) for s in range(0, n, 3)]
+        raw += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)]
+        rel = StateRelation(space, space, raw)
+        assert rel.pairs == frozenset(raw)
+        shuffled = raw + raw[: n // 2]
+        rng.shuffle(shuffled)
+        same = StateRelation(space, space, shuffled)
+        assert same == rel and hash(same) == hash(rel)
+        drop = rng.choice(sorted(set(raw)))
+        assert StateRelation(space, space, set(raw) - {drop}) != rel
+        assert rel != StateRelation(StateSpace("w", n), space, raw)
+        # single edges are kept as index pairs: same source, other target
+        assert StateRelation(space, space, [(0, 1)]) != StateRelation(space, space, [(0, 2)])
 
 
 def _reference_members(space: StateSpace, mask: int) -> tuple[int, ...]:
@@ -296,6 +315,12 @@ def _retained_bytes(n: int) -> int:
         return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+
+
+def test_relation_keeps_no_pair_tuples():
+    # a frozenset of the pair tuples takes about 480 bytes per state here;
+    # the plan's masks, index arrays and successor flags take about 5
+    assert _retained_bytes(12000) <= 16 * 12000
 
 
 def test_relation_memory_grows_linearly():
