@@ -24,7 +24,6 @@ from . import __version__
 from .elaborator import (
     DEFAULT_MAX_STATES,
     ElaboratedModel,
-    ElaboratedProperty,
     ElaborationError,
     elaborate,
 )
@@ -69,42 +68,19 @@ def _load(path: str, max_states: int) -> ElaboratedModel:
         raise _CliError(f"{path}: {err}") from err
 
 
-def _ensures_report(
-    model: ElaboratedModel,
-    prop: ElaboratedProperty,
-    ensures: dict[str, ObligationReport],
-    wf: tuple[ObligationReport, ...] = (),
-) -> ObligationReport:
-    """The ENS:<p> report of one ensures property, checked at most once per
-    run: `ensures` holds the reports computed so far, by property name, and
-    `wf` the property's WF0 and WF1 reports, when the caller has them."""
-    if prop.name not in ensures:
-        owner = model.owner(prop.source)
-        ensures[prop.name] = check_ensures(owner.system, prop.as_ensures(), *wf)
-    return ensures[prop.name]
-
-
-def _property_reports(
-    model: ElaboratedModel, doc: ReportDocument, ensures: dict[str, ObligationReport]
-) -> None:
+def _property_reports(model: ElaboratedModel, doc: ReportDocument) -> None:
     for prop in model.properties.values():
         owner = model.owner(prop.source)
         if prop.kind == "ensures":
             ens = prop.as_ensures()
-            wf = (check_wf0(owner.system, ens), check_wf1(owner.system, ens))
-            for report in wf:
-                doc.add(report, owner)
-            doc.add(_ensures_report(model, prop, ensures, wf), owner)
+            doc.add(check_wf0(owner.system, ens), owner)
+            doc.add(check_wf1(owner.system, ens), owner)
+            doc.add(check_ensures(owner.system, ens), owner)
         elif prop.kind == "unless":
             doc.add(check_unless(owner.system, prop.as_unless()), owner)
 
 
-def _refinement_reports(
-    model: ElaboratedModel,
-    pair_name: str,
-    doc: ReportDocument,
-    ensures: dict[str, ObligationReport],
-) -> None:
+def _refinement_reports(model: ElaboratedModel, pair_name: str, doc: ReportDocument) -> None:
     refinement = model.refinements[pair_name]
     pair = refinement.pair
     abstract = model.systems[refinement.abstract_name]
@@ -112,7 +88,7 @@ def _refinement_reports(
 
     simulation = check_all_event_refinements(pair)
     for report in simulation:
-        doc.add(report, witness_system=abstract)
+        doc.add(report, abstract)
     simulation_ok = all(r.passed for r in simulation)
 
     ensures_props = [
@@ -122,7 +98,7 @@ def _refinement_reports(
     ]
     for prop in ensures_props:
         ens = prop.as_ensures()
-        abstract_report = _ensures_report(model, prop, ensures)
+        abstract_ok = check_ensures(abstract.system, ens).passed
         sap = check_sap(pair, ens)
         doc.add(sap, concrete)
         goal = lip_goal(pair, ens)
@@ -143,7 +119,7 @@ def _refinement_reports(
             concrete,
             lasso=lasso,
         )
-        if simulation_ok and abstract_report.passed:
+        if simulation_ok and abstract_ok:
             for report in derived_inclusions(pair, ens):
                 doc.add(report, concrete)
         else:
@@ -151,38 +127,23 @@ def _refinement_reports(
                 _skipped(f"DRV:{prop.name}", "gates failed; derived inclusions not run")
             )
         evidence = LipEvidence(goal, verdict.holds, "oracle")
-        gates = [abstract_report, *simulation, sap]
-        doc.add(check_refined_ensures(pair, ens, evidence, gates), concrete)
+        doc.add(check_refined_ensures(pair, ens, evidence), concrete)
 
 
 def _skipped(rid: str, why: str) -> ReportEntry:
     return ReportEntry(rid, "hypothesis-failed", narrative=why)
 
 
-def _script_env(
-    model: ElaboratedModel, source: str, ensures: dict[str, ObligationReport]
-) -> ScriptEnv:
-    """The premises of `source`; ensures verdicts already in `ensures` seed
-    the gate, so a brl step does not check them again."""
-    owner = model.owner(source)
-    env = ScriptEnv(owner.system)
+def _script_report(model: ElaboratedModel, name: str, doc: ReportDocument) -> None:
+    script = model.scripts[name]
+    env = ScriptEnv(model.owner(script.source).system)
     for prop in model.properties.values():
-        if prop.source != source:
+        if prop.source != script.source:
             continue
         if prop.kind == "ensures":
             env.ensures[prop.name] = prop.as_ensures()
-            if prop.name in ensures:
-                env.ensures_gate[prop.name] = ensures[prop.name].passed
         elif prop.kind == "unless":
             env.unless[prop.name] = prop.as_unless()
-    return env
-
-
-def _script_report(
-    model: ElaboratedModel, name: str, doc: ReportDocument, ensures: dict[str, ObligationReport]
-) -> None:
-    script = model.scripts[name]
-    env = _script_env(model, script.source, ensures)
     env.ensures.update(script.extra_ensures)
     goal = model.properties[script.goal].as_leadsto()
     outcome = check_script(env, script.script, goal)
@@ -251,27 +212,26 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     try:
         model = _load(args.file, args.max_states)
         doc = ReportDocument(model=args.file)
-        ensures: dict[str, ObligationReport] = {}
         if args.command == "check":
-            _property_reports(model, doc, ensures)
+            _property_reports(model, doc)
         elif args.command == "refine":
             if args.pair not in model.refinements:
                 raise _CliError(f"unknown refinement pair {args.pair!r}")
-            _refinement_reports(model, args.pair, doc, ensures)
+            _refinement_reports(model, args.pair, doc)
         elif args.command == "prove":
             if args.script not in model.scripts:
                 raise _CliError(f"unknown proof script {args.script!r}")
-            _script_report(model, args.script, doc, ensures)
+            _script_report(model, args.script, doc)
         elif args.command == "oracle":
             if args.property not in model.properties:
                 raise _CliError(f"unknown property {args.property!r}")
             _oracle_report(model, args.property, doc)
         elif args.command == "report":
-            _property_reports(model, doc, ensures)
+            _property_reports(model, doc)
             for pair_name in model.refinements:
-                _refinement_reports(model, pair_name, doc, ensures)
+                _refinement_reports(model, pair_name, doc)
             for script_name in model.scripts:
-                _script_report(model, script_name, doc, ensures)
+                _script_report(model, script_name, doc)
             for prop in model.properties.values():
                 if prop.kind == "leadsto":
                     _oracle_report(model, prop.name, doc)

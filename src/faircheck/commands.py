@@ -24,9 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import wraps
-from typing import Callable
+from typing import Any, Callable, TypeVar
 
 from .sets import SpaceMismatchError, StateRelation, StateSet, StateSpace
+
+T = TypeVar("T")
 
 
 class Command:
@@ -153,18 +155,21 @@ def choice_of(commands: list[Command], space: StateSpace) -> Command:
 # ---------------------------------------------------------------------------
 
 
-def _memo_on_command(fn: Callable[[Command], StateSet]) -> Callable[[Command], StateSet]:
-    """Keep fn's result on the command instance itself, so the memo goes
-    away with the model that owns the command."""
-    key = f"_{fn.__name__}"
+def memo_on_owner(fn: Callable[..., T]) -> Callable[..., T]:
+    """Keep fn(owner, *args) on the owner instance itself: one table per
+    function, keyed by the values of the remaining arguments, so the memo
+    goes away with the model that owns the owner. The owner needs an
+    instance `__dict__` (frozen dataclasses have one); the arguments must
+    be hashable, and an equal but distinct argument hits the memo."""
+    slot = f"_{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
-    def memoised(c: Command) -> StateSet:
+    def memoised(owner: Any, *args: Any) -> T:
         try:
-            return c.__dict__[key]
+            return owner.__dict__[slot][args]
         except KeyError:
-            value = fn(c)
-            object.__setattr__(c, key, value)  # commands are frozen dataclasses
+            value = fn(owner, *args)
+            owner.__dict__.setdefault(slot, {})[args] = value
             return value
 
     return memoised
@@ -197,7 +202,7 @@ def liberal_apply(c: Command, r: StateSet) -> StateSet:
     raise TypeError(f"unknown command {c!r}")
 
 
-@_memo_on_command
+@memo_on_owner
 def pre_of(c: Command) -> StateSet:
     """The termination set: states from which c certainly terminates."""
     space = c.space
@@ -224,7 +229,7 @@ def str_apply(c: Command, r: StateSet) -> StateSet:
     return liberal_apply(c, r) & pre_of(c)
 
 
-@_memo_on_command
+@memo_on_owner
 def grd_of(c: Command) -> StateSet:
     """The guard: states where execution of c is possible (not miraculous)."""
     return str_apply(c, c.space.empty()).complement()

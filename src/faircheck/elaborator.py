@@ -43,7 +43,7 @@ from .parser import (
 )
 from .refinement import RefinementPair
 from .sets import StateRelation, StateSet, StateSpace
-from .unity import LeadsTo, ProofScript, ProofStep, Unless
+from .unity import LeadsTo, ProofScript, ProofStep, Unless, trivial_ensures
 
 DEFAULT_MAX_STATES = 1 << 20
 
@@ -474,9 +474,7 @@ def elaborate(doc: ModelDocument, max_states: int = DEFAULT_MAX_STATES) -> Elabo
                         "or an inline conclusion"
                     )
                 gen = f"{prdecl.name}:{sdecl2.name}"
-                extra[gen] = EnsuresProperty(
-                    gen, frozenset(owner.system.labels), conclusion.lhs, conclusion.rhs
-                )
+                extra[gen] = trivial_ensures(owner.system, gen, conclusion.lhs, conclusion.rhs)
                 refs = (gen,)
             steps.append(ProofStep(sdecl2.name, sdecl2.rule, refs, conclusion))
         scripts[prdecl.name] = ElaboratedScript(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .commands import Command, choice_of, grd_of, pre_of, str_apply
+from .commands import Command, choice_of, grd_of, memo_on_owner, pre_of, str_apply
 from .fairloop import FairLoop, check_total_correctness
 from .sets import SpaceMismatchError, StateSet, StateSpace
 
@@ -29,7 +29,8 @@ class EngineDefect(Exception):
 
 
 class EventSystem:
-    """An ordered family of named events over one space."""
+    """An ordered family of named events over one space. The WF0, WF1,
+    ensures and unless checks memoise their verdicts on it."""
 
     def __init__(self, space: StateSpace, events: Mapping[str, Command]):
         if not events:
@@ -122,6 +123,7 @@ def inclusion_report(
     return ObligationReport(rid, "fail", (inner - outer).members(), narrative, refs)
 
 
+@memo_on_owner
 def check_wf0(sys: EventSystem, prop: EnsuresProperty) -> ObligationReport:
     """Every event keeps p | q when run from p & ~q."""
     _check_property_space(sys, prop)
@@ -130,6 +132,7 @@ def check_wf0(sys: EventSystem, prop: EnsuresProperty) -> ObligationReport:
     return inclusion_report(f"WF0:{prop.name}", active, kept, narrative, (prop.name,))
 
 
+@memo_on_owner
 def check_wf1(sys: EventSystem, prop: EnsuresProperty) -> ObligationReport:
     """The helpful choice is enabled on p & ~q and moves it into q."""
     _check_property_space(sys, prop)
@@ -139,19 +142,11 @@ def check_wf1(sys: EventSystem, prop: EnsuresProperty) -> ObligationReport:
     return inclusion_report(f"WF1:{prop.name}", active, good, narrative, (prop.name,))
 
 
-def check_ensures(
-    sys: EventSystem,
-    prop: EnsuresProperty,
-    wf0: ObligationReport | None = None,
-    wf1: ObligationReport | None = None,
-) -> ObligationReport:
+@memo_on_owner
+def check_ensures(sys: EventSystem, prop: EnsuresProperty) -> ObligationReport:
     """Both obligations together; on pass, the fair-loop total-correctness
-    conclusion is re-derived as an engine self-check. A caller that has
-    already checked WF0 or WF1 for this property passes those reports in."""
-    if wf0 is None:
-        wf0 = check_wf0(sys, prop)
-    if wf1 is None:
-        wf1 = check_wf1(sys, prop)
+    conclusion is re-derived as an engine self-check."""
+    wf0, wf1 = check_wf0(sys, prop), check_wf1(sys, prop)
     if not (wf0.passed and wf1.passed):
         failing = wf0 if not wf0.passed else wf1
         return ObligationReport(

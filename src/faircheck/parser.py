@@ -720,7 +720,7 @@ def parse_document(text: str) -> ParseResult:
 
 
 # ---------------------------------------------------------------------------
-# Printer (used for round-trip stability tests and report echoes)
+# Printer (only the round-trip stability test uses it)
 # ---------------------------------------------------------------------------
 
 

@@ -13,9 +13,9 @@ script or by the semantic oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .commands import Command, Skip, choice_of, grd_of, str_apply
+from .commands import Command, Skip, choice_of, grd_of, memo_on_owner, str_apply
 from .obligations import (
     EnsuresProperty,
     EventSystem,
@@ -29,7 +29,8 @@ from .unity import LeadsTo, semantic_leadsto
 
 
 class RefinementPair:
-    """Abstract and concrete systems linked by a gluing relation."""
+    """Abstract and concrete systems linked by a gluing relation. The
+    simulation and safety-preservation checks memoise their verdicts on it."""
 
     def __init__(
         self,
@@ -102,6 +103,7 @@ def _simulation_gap(
     return lhs - rhs
 
 
+@memo_on_owner
 def check_event_refinement(rp: RefinementPair, concrete_label: str) -> ObligationReport:
     """One concrete event simulates its abstract counterpart (skip for new
     events), universally over subsets of the concrete space.
@@ -171,6 +173,7 @@ def derived_inclusions(rp: RefinementPair, prop: EnsuresProperty) -> list[Obliga
     ]
 
 
+@memo_on_owner
 def check_sap(rp: RefinementPair, prop: EnsuresProperty) -> ObligationReport:
     """Safety preservation: from glued active states where the refined
     helpful guard holds, every other concrete event keeps that guard."""
@@ -220,18 +223,16 @@ def concrete_property(rp: RefinementPair, prop: EnsuresProperty) -> EnsuresPrope
 
 
 def check_refined_ensures(
-    rp: RefinementPair,
-    prop: EnsuresProperty,
-    lip: LipEvidence | None,
-    gates: Iterable[ObligationReport],
+    rp: RefinementPair, prop: EnsuresProperty, lip: LipEvidence | None
 ) -> ObligationReport:
     """Certify preservation of an abstract ensures property.
 
-    `gates` holds the reports the caller already computed: the abstract
-    `ENS:<p>`, every `REF:<label>` of the pair and `SAP:<p>`. A failing or
-    missing gate, or missing liveness evidence, yields hypothesis-failed.
-    On success the concrete ensures property and the concrete leads-to are
-    both re-verified semantically.
+    The gates are the abstract `ENS:<p>`, every `REF:<label>` of the pair
+    and `SAP:<p>`, checked in that order; their verdicts are memoised on
+    the abstract system and on the pair, so gates already decided are not
+    decided again. A failing gate, or missing liveness evidence, yields
+    hypothesis-failed. On success the concrete ensures property and the
+    concrete leads-to are both re-verified semantically.
     """
     rid = f"RENS:{prop.name}"
     refs = (prop.name,)
@@ -239,19 +240,15 @@ def check_refined_ensures(
     def blocked(reason: str, witnesses: tuple = ()) -> ObligationReport:
         return ObligationReport(rid, "hypothesis-failed", witnesses, reason, refs)
 
-    by_id = {report.id: report for report in gates}
-    ens_id, sap_id = f"ENS:{prop.name}", f"SAP:{prop.name}"
-    for gid in (ens_id, *(f"REF:{label}" for label in rp.concrete.labels), sap_id):
-        report = by_id.get(gid)
-        if report is None:
-            return blocked(f"gate {gid} was not checked")
-        if report.passed:
-            continue
-        if gid == ens_id:
-            return blocked(f"abstract property failed: {report.narrative}")
-        if gid == sap_id:
-            return blocked("safety preservation failed", report.witnesses)
-        return blocked(f"event refinement failed: {gid}", report.witnesses)
+    abstract = check_ensures(rp.abstract, prop)
+    if not abstract.passed:
+        return blocked(f"abstract property failed: {abstract.narrative}")
+    for report in check_all_event_refinements(rp):
+        if not report.passed:
+            return blocked(f"event refinement failed: {report.id}", report.witnesses)
+    sap = check_sap(rp, prop)
+    if not sap.passed:
+        return blocked("safety preservation failed", sap.witnesses)
     goal = lip_goal(rp, prop)
     if lip is None:
         return blocked("liveness preservation goal has no evidence")

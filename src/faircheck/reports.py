@@ -95,11 +95,9 @@ class ReportDocument:
         self,
         report: ObligationReport,
         system: ElaboratedSystem | None = None,
-        witness_system: ElaboratedSystem | None = None,
         lasso: dict[str, Any] | None = None,
     ) -> None:
-        target = witness_system or system
-        witnesses = state_witnesses(target, report) if target is not None else []
+        witnesses = state_witnesses(system, report) if system is not None else []
         self.entries.append(
             ReportEntry(
                 report.id,

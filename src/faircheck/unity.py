@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .commands import Command, Guard, Prim, grd_of, str_apply, transition_relation
+from .commands import Command, Guard, Prim, grd_of, memo_on_owner, str_apply, transition_relation
 from .obligations import (
     EngineDefect,
     EnsuresProperty,
@@ -60,6 +60,7 @@ class Unless:
             raise SpaceMismatchError(self.lhs.space, self.rhs.space)
 
 
+@memo_on_owner
 def check_unless(sys: EventSystem, prop: Unless) -> ObligationReport:
     """lhs persists until rhs: every event keeps lhs | rhs from lhs & ~rhs."""
     if not prop.lhs.space.same_as(sys.space):
@@ -114,27 +115,11 @@ class ProofScript:
 
 @dataclass
 class ScriptEnv:
-    """Named premises a script may draw on, plus the system it runs over.
-
-    The gates memoise each premise's verdict; a caller that has already
-    checked a premise on this system may enter its verdict in advance.
-    """
+    """Named premises a script may draw on, plus the system it runs over."""
 
     system: EventSystem
     ensures: dict[str, EnsuresProperty] = field(default_factory=dict)
     unless: dict[str, Unless] = field(default_factory=dict)
-    ensures_gate: dict[str, bool] = field(default_factory=dict)
-    unless_gate: dict[str, bool] = field(default_factory=dict)
-
-    def ensures_passed(self, name: str) -> bool:
-        if name not in self.ensures_gate:
-            self.ensures_gate[name] = check_ensures(self.system, self.ensures[name]).passed
-        return self.ensures_gate[name]
-
-    def unless_passed(self, name: str) -> bool:
-        if name not in self.unless_gate:
-            self.unless_gate[name] = check_unless(self.system, self.unless[name]).passed
-        return self.unless_gate[name]
 
 
 def apply_rule(
@@ -159,9 +144,9 @@ def apply_rule(
         ref = step.refs[0]
         if ref not in env.ensures:
             raise RuleError(step.name, f"{ref!r} does not name an ensures property")
-        if not env.ensures_passed(ref):
-            raise RuleError(step.name, f"ensures property {ref!r} has not passed its obligations")
         prop = env.ensures[ref]
+        if not check_ensures(env.system, prop).passed:
+            raise RuleError(step.name, f"ensures property {ref!r} has not passed its obligations")
         return settle(LeadsTo(prop.p, prop.q))
 
     if step.rule == "tra":
@@ -191,9 +176,9 @@ def apply_rule(
         uref = step.refs[1]
         if uref not in env.unless:
             raise RuleError(step.name, f"{uref!r} does not name an unless property")
-        if not env.unless_passed(uref):
-            raise RuleError(step.name, f"unless property {uref!r} has not passed its obligation")
         stable = env.unless[uref]
+        if not check_unless(env.system, stable).passed:
+            raise RuleError(step.name, f"unless property {uref!r} has not passed its obligation")
         lhs = lead.lhs & stable.lhs
         rhs = (lead.rhs & stable.lhs) | stable.rhs
         return settle(LeadsTo(lhs, rhs))

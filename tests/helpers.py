@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
+from typing import Callable, Iterable
 
 from faircheck import (
     Choice,
@@ -28,7 +29,6 @@ from faircheck import (
     EnsuresProperty,
     EventSystem,
     Guard,
-    ObligationReport,
     Precond,
     Prim,
     RefinementPair,
@@ -37,9 +37,6 @@ from faircheck import (
     StateRelation,
     StateSet,
     StateSpace,
-    check_all_event_refinements,
-    check_ensures,
-    check_sap,
     grd_of,
     split_system,
     str_apply,
@@ -186,22 +183,34 @@ def ensures_closure(
 # ---------------------------------------------------------------------------
 
 
-def structural_wp(c: Command, r: StateSet) -> StateSet:
-    """Reference total-correctness transformer for fair-choice-free commands."""
+def structural_wp(c: Command) -> Callable[[StateSet], StateSet]:
+    """Reference total-correctness transformer for fair-choice-free commands.
+
+    Built once per command, so each primitive's raw pairs are read once
+    however many postconditions the transformer is applied to."""
     space = c.space
     if isinstance(c, Skip):
-        return r
+        return lambda r: r
     if isinstance(c, Prim):
-        escapes = {s for s, t in c.rel.pairs if not r.mask >> t & 1}
-        return space.subset(x for x in range(space.size) if x not in escapes)
+        pairs = c.rel.pairs
+
+        def prim(r: StateSet) -> StateSet:
+            escapes = {s for s, t in pairs if not r.mask >> t & 1}
+            return space.subset(x for x in range(space.size) if x not in escapes)
+
+        return prim
     if isinstance(c, Guard):
-        return c.guard.complement() | structural_wp(c.body, r)
+        body, outside = structural_wp(c.body), c.guard.complement()
+        return lambda r: outside | body(r)
     if isinstance(c, Precond):
-        return c.require & structural_wp(c.body, r)
+        body = structural_wp(c.body)
+        return lambda r: c.require & body(r)
     if isinstance(c, Choice):
-        return structural_wp(c.left, r) & structural_wp(c.right, r)
+        left, right = structural_wp(c.left), structural_wp(c.right)
+        return lambda r: left(r) & right(r)
     if isinstance(c, Seq):
-        return structural_wp(c.first, structural_wp(c.second, r))
+        first, second = structural_wp(c.first), structural_wp(c.second)
+        return lambda r: first(second(r))
     raise ValueError("no structural rule for fair choice")
 
 
@@ -232,14 +241,15 @@ def ast_system(rng: random.Random, size: int, n_events: int, space_id: str = "u"
         sub = lambda: random_command(rng, space, 2, total_only=True, allow_dovetail=False)
         cmd = Choice(sub(), sub()) if rng.random() < 0.5 else Seq(sub(), sub())
         events[label] = cmd
-        guards[label] = structural_wp(cmd, space.empty()).complement()
+        wp = structural_wp(cmd)
+        guards[label] = wp(space.empty()).complement()
         rels[label] = StateRelation(
             space,
             space,
             [
                 (x, t)
                 for t in range(size)
-                for x in structural_wp(cmd, space.singleton(t).complement()).complement()
+                for x in wp(space.singleton(t).complement()).complement()
             ],
         )
     return GenSystem(EventSystem(space, events), guards, rels)
@@ -400,7 +410,10 @@ def exhaustive_simulation_gaps(
     target = pair.refines[concrete_label]
     abstract_cmd = Skip(u) if target is None else pair.abstract.events[target]
     concrete_cmd = pair.concrete.events[concrete_label]
-    glued = {x: {y for y, x2 in pair.gluing.pairs if x2 == x} for x in range(u.size)}
+    glued: dict[int, set[int]] = {x: set() for x in range(u.size)}
+    for y, x in pair.gluing.pairs:
+        glued[x].add(y)
+    abstract_wp, concrete_wp = structural_wp(abstract_cmd), structural_wp(concrete_cmd)
 
     def box(s: StateSet) -> StateSet:
         inside = set(s.members())
@@ -409,20 +422,10 @@ def exhaustive_simulation_gaps(
     gaps: set[tuple[tuple[int, ...], int]] = set()
     for mask in range(1 << v.size):
         s = StateSet(v, mask)
-        lhs = structural_wp(abstract_cmd, box(s))
-        rhs = box(structural_wp(concrete_cmd, s))
+        lhs = abstract_wp(box(s))
+        rhs = box(concrete_wp(s))
         gaps.update((s.members(), x) for x in (lhs - rhs).members())
     return gaps
-
-
-def refinement_gates(pair: RefinementPair, prop: EnsuresProperty) -> list[ObligationReport]:
-    """The gate reports `check_refined_ensures` reads: the abstract ensures
-    check, every event simulation and safety preservation."""
-    return [
-        check_ensures(pair.abstract, prop),
-        *check_all_event_refinements(pair),
-        check_sap(pair, prop),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -491,19 +494,19 @@ def split_refinement(
 # ---------------------------------------------------------------------------
 
 
-def pair_pre_image(rel: StateRelation, mask: int) -> int:
+def pair_pre_image(pairs: Iterable[tuple[int, int]], mask: int) -> int:
     """Sources of the pairs whose target bit is set in mask, pair by pair."""
     out = 0
-    for s, t in rel.pairs:
+    for s, t in pairs:
         if mask >> t & 1:
             out |= 1 << s
     return out
 
 
-def pair_image(rel: StateRelation, mask: int) -> int:
+def pair_image(pairs: Iterable[tuple[int, int]], mask: int) -> int:
     """Targets of the pairs whose source bit is set in mask, pair by pair."""
     out = 0
-    for s, t in rel.pairs:
+    for s, t in pairs:
         if mask >> s & 1:
             out |= 1 << t
     return out

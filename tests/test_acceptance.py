@@ -61,7 +61,6 @@ from helpers import (
     random_command,
     random_subset,
     random_system,
-    refinement_gates,
     split_refinement,
 )
 
@@ -298,7 +297,7 @@ def test_criterion_07_refinement_soundness():
         evidence = discharge_lip_with_oracle(pair, prop)
         if not evidence.holds:
             continue
-        report = check_refined_ensures(pair, prop, evidence, refinement_gates(pair, prop))
+        report = check_refined_ensures(pair, prop, evidence)
         p2, q2 = pair.concrete_of(prop.p), pair.concrete_of(prop.q)
         confirmed = semantic_leadsto(pair.concrete, p2, q2).holds
         if not (report.passed and confirmed):
@@ -323,7 +322,7 @@ def test_criterion_07_refinement_soundness():
     rejected = (
         sap.verdict == "fail"
         and len(sap.witnesses) > 0
-        and check_refined_ensures(bad, aprop, evidence, refinement_gates(bad, aprop)).verdict
+        and check_refined_ensures(bad, aprop, evidence).verdict
         == "hypothesis-failed"
     )
     _report(

@@ -218,6 +218,31 @@ def test_refine_hidden_block_escape_fails(capsys, tmp_path):
     assert ref["witnesses"] == [{"state": "x=1", "bindings": {"x": 1}}]
 
 
+def test_refine_with_failing_abstract_property_skips_derived_inclusions(capsys, tmp_path):
+    # the abstract leak breaks P1's first obligation; simulation still holds
+    text = Path(CTR).read_text()
+    text = text.replace(
+        "then x := 3 end\n", "then x := 3 end\n  event leak when x = 2 then x := 0 end\n", 1
+    )
+    text = text.replace(
+        "  event tick refines skip",
+        "  event leak2 refines leak when y = 2 then y := 0 end\n  event tick refines skip",
+        1,
+    )
+    model = tmp_path / "leaky_pair.fb"
+    model.write_text(text)
+    code, out = _run(capsys, "refine", str(model), "--pair", "ctr2", "--format", "json")
+    assert code == 1
+    verdicts = {o["id"]: o for o in json.loads(out)["obligations"]}
+    for event in ("inc2", "done2", "leak2", "tick"):
+        assert verdicts[f"REF:{event}"]["verdict"] == "pass"
+    assert verdicts["DRV:P1"]["verdict"] == "hypothesis-failed"
+    assert not any(rid.startswith("DRV:P1:") for rid in verdicts)
+    rens = verdicts["RENS:P1"]
+    assert rens["verdict"] == "hypothesis-failed"
+    assert rens["narrative"].startswith("abstract property failed: WF0:P1 failed")
+
+
 @pytest.mark.parametrize(
     "flag",
     [["--samples", "50"], ["--seed", "3"], ["--exhaustive"]],
@@ -230,32 +255,29 @@ def test_removed_quantifier_flags_are_usage_errors(capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _computed(monkeypatch) -> Counter:
+    """Count the obligation reports a run builds, by id. A memoised check
+    that is called again returns its stored report and builds none, so this
+    counts how often each obligation is decided, not how often it is asked."""
+    computed: Counter = Counter()
+    build = obligations.ObligationReport
+
+    def counting(*args, **kwargs):
+        report = build(*args, **kwargs)
+        computed[report.id] += 1
+        return report
+
+    for module in (obligations, refinement):
+        monkeypatch.setattr(module, "ObligationReport", counting)
+    return computed
+
+
 def test_refine_computes_each_gate_once(capsys, monkeypatch):
-    events, saps, abstract_ens = Counter(), Counter(), Counter()
-
-    def counting(module, name, tally, key):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            tally[key(*args)] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(refinement, "check_event_refinement", events, lambda rp, label: label)
-    for module in (cli, refinement):
-        counting(module, "check_sap", saps, lambda rp, prop: prop.name)
-        counting(
-            module,
-            "check_ensures",
-            abstract_ens,
-            lambda system, prop: prop.name if system.space.id == "ctr" else None,
-        )
+    computed = _computed(monkeypatch)
     code, _ = _run(capsys, "refine", CTR, "--pair", "ctr2")
     assert code == 0
-    assert events == {"inc2": 1, "done2": 1, "tick": 1}
-    assert saps == {"P1": 1}
-    assert abstract_ens["P1"] == 1
+    assert {"ENS:P1", "REF:inc2", "REF:done2", "REF:tick", "SAP:P1"} <= set(computed)
+    assert set(computed.values()) == {1}
 
 
 def test_witness_bindings_in_json(capsys):
@@ -267,34 +289,25 @@ def test_witness_bindings_in_json(capsys):
 
 
 def test_report_checks_each_ensures_property_once(capsys, monkeypatch):
-    from faircheck import unity
-
-    checked = Counter()
-    original = cli.check_ensures
-
-    def counting(system, prop, *wf):
-        checked[system.space.id, prop.name] += 1
-        return original(system, prop, *wf)
-
-    for module in (cli, refinement, unity):
-        monkeypatch.setattr(module, "check_ensures", counting)
-    wf = {"check_wf0": Counter(), "check_wf1": Counter()}
-    for name, tally in wf.items():
-        check = getattr(obligations, name)
-
-        def counting_wf(system, prop, check=check, tally=tally):
-            tally[system.space.id, prop.name] += 1
-            return check(system, prop)
-
-        for module in (cli, obligations):
-            monkeypatch.setattr(module, name, counting_wf)
+    computed = _computed(monkeypatch)
     code, _ = _run(capsys, "report", CTR)
     assert code == 0
-    assert {("ctr", "P1"), ("ctr2", "E_stutter"), ("ctr2", "E_help")} <= set(checked)
-    assert set(checked.values()) == {1}
-    for tally in wf.values():
-        assert set(checked) <= set(tally)
-        assert set(tally.values()) == {1}
+    for name in ("P1", "E_stutter", "E_help"):
+        assert [computed[f"{kind}:{name}"] for kind in ("WF0", "WF1", "ENS")] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("model", ["ctr", "ctr_leak"])
+def test_report_decides_each_obligation_once(capsys, monkeypatch, model):
+    # the report lines, the refinement gates and the script's brl and psp
+    # steps all ask for the same verdicts; each is decided once
+    computed = _computed(monkeypatch)
+    _run(capsys, "report", str(ROOT / "models" / f"{model}.fb"))
+    kinds = ("WF0:", "WF1:", "ENS:", "UNL:", "REF:", "SAP:")
+    decided = {rid: n for rid, n in computed.items() if rid.startswith(kinds)}
+    assert {"WF0:P1", "WF1:P1", "ENS:P1"} <= set(decided)
+    if model == "ctr":
+        assert {"UNL:U29", "REF:tick", "SAP:P1", "ENS:E_help", "ENS:main:s5"} <= set(decided)
+    assert [rid for rid, n in decided.items() if n != 1] == []
 
 
 def test_report_is_the_concatenation_of_its_subcommands(capsys):

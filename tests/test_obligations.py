@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from faircheck import obligations
 from faircheck import (
     EnsuresProperty,
     EventSystem,
@@ -92,6 +94,36 @@ def test_ensures_fixture_and_aggregation(ctr, ctr_leaky):
     assert report.verdict == "fail"
     assert "WF0" in report.narrative
     assert report.witnesses == (2,)
+
+
+def test_verdicts_are_memoised_on_the_system_by_property_value(ctr, monkeypatch):
+    decided = Counter()
+    real_inclusion = obligations.inclusion_report
+    real_conclusion = obligations.check_total_correctness
+
+    def inclusion(rid, *rest):
+        decided[rid] += 1
+        return real_inclusion(rid, *rest)
+
+    def conclusion(*args):
+        decided["fair loop"] += 1
+        return real_conclusion(*args)
+
+    monkeypatch.setattr(obligations, "inclusion_report", inclusion)
+    monkeypatch.setattr(obligations, "check_total_correctness", conclusion)
+    once = {"WF0:P1": 1, "WF1:P1": 1, "fair loop": 1}
+    first = check_ensures(ctr.system, ctr.prop)
+    assert first.passed and decided == once
+    # an equal but distinct property value hits the memo
+    twin = EnsuresProperty(ctr.prop.name, frozenset(ctr.prop.helpful), ctr.prop.p, ctr.prop.q)
+    assert twin == ctr.prop and twin is not ctr.prop
+    assert check_ensures(ctr.system, twin) is first
+    assert check_wf0(ctr.system, twin).passed and check_wf1(ctr.system, twin).passed
+    assert decided == once
+    # the memo belongs to the system: a fresh system over the same events decides again
+    fresh = EventSystem(ctr.space, ctr.system.events)
+    assert check_ensures(fresh, twin) == first
+    assert decided == {key: 2 for key in once}
 
 
 def test_ensures_pass_implies_semantic_leadsto(ctr):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from faircheck import refinement
 from faircheck import (
     Choice,
     EnsuresProperty,
@@ -38,7 +39,6 @@ from helpers import (
     random_command,
     random_subset,
     random_system,
-    refinement_gates,
     split_refinement,
 )
 
@@ -114,7 +114,7 @@ def test_identity_refinement_passes_everything(ctr):
         assert report.passed
     evidence = discharge_lip_with_oracle(pair, ens)
     assert evidence.holds
-    final = check_refined_ensures(pair, ens, evidence, refinement_gates(pair, ens))
+    final = check_refined_ensures(pair, ens, evidence)
     assert final.passed
 
 
@@ -137,8 +137,7 @@ def test_split_state_refinement_exhaustive(ctr):
     for label in ("inc2", "done2"):
         assert check_event_refinement(pair, label).passed
     evidence = discharge_lip_with_oracle(pair, ctr.prop)
-    gates = refinement_gates(pair, ctr.prop)
-    assert check_refined_ensures(pair, ctr.prop, evidence, gates).passed
+    assert check_refined_ensures(pair, ctr.prop, evidence).passed
 
 
 def test_event_refinement_failure_witnesses(ctr):
@@ -184,7 +183,7 @@ def test_stutter_refinement_end_to_end(ctr):
     assert evidence.holds
     for report in derived_inclusions(pair, ens):
         assert report.passed, report.id
-    final = check_refined_ensures(pair, ens, evidence, refinement_gates(pair, ens))
+    final = check_refined_ensures(pair, ens, evidence)
     assert final.passed
     # the certified concrete property really is an ensures property
     cprop = concrete_property(pair, ens)
@@ -213,26 +212,25 @@ def test_sap_violation_is_rejected_with_witness(ctr):
     assert sap.verdict == "fail"
     assert 3 in sap.witnesses  # concrete state 2 (index 3) exits the guard
     evidence = discharge_lip_with_oracle(pair, ctr.prop)
-    final = check_refined_ensures(pair, ctr.prop, evidence, refinement_gates(pair, ctr.prop))
+    final = check_refined_ensures(pair, ctr.prop, evidence)
     assert final.verdict == "hypothesis-failed"
     assert "safety" in final.narrative
 
 
 def test_missing_or_mismatched_lip_evidence(ctr):
     pair = _stutter_pair(ctr)
-    gates = refinement_gates(pair, ctr.prop)
-    assert check_refined_ensures(pair, ctr.prop, None, gates).verdict == "hypothesis-failed"
+    assert check_refined_ensures(pair, ctr.prop, None).verdict == "hypothesis-failed"
     wrong_goal = LipEvidence(
         lip_goal(pair, ctr.prop)
         .__class__(ctr.space.empty(), ctr.space.universe(), "other"),
         True,
         "oracle",
     )
-    report = check_refined_ensures(pair, ctr.prop, wrong_goal, gates)
+    report = check_refined_ensures(pair, ctr.prop, wrong_goal)
     assert report.verdict == "hypothesis-failed"
     assert "different goal" in report.narrative
     failed = LipEvidence(lip_goal(pair, ctr.prop), False, "oracle")
-    assert check_refined_ensures(pair, ctr.prop, failed, gates).verdict == "hypothesis-failed"
+    assert check_refined_ensures(pair, ctr.prop, failed).verdict == "hypothesis-failed"
 
 
 def test_lip_discharged_by_proof_script(ctr):
@@ -249,8 +247,7 @@ def test_lip_discharged_by_proof_script(ctr):
     outcome = check_script(env, script, LeadsTo(goal.lhs, goal.rhs, "goal"))
     assert outcome.passed
     evidence = LipEvidence(goal, outcome.passed, "script:lip")
-    gates = refinement_gates(pair, ctr.prop)
-    assert check_refined_ensures(pair, ctr.prop, evidence, gates).passed
+    assert check_refined_ensures(pair, ctr.prop, evidence).passed
 
 
 def test_glued_active_inclusion_holds_for_generated_pairs(ctr):
@@ -311,7 +308,7 @@ def test_generated_split_refinements_preserve_ensures():
         evidence = discharge_lip_with_oracle(pair, prop)
         if not evidence.holds:
             continue
-        report = check_refined_ensures(pair, prop, evidence, refinement_gates(pair, prop))
+        report = check_refined_ensures(pair, prop, evidence)
         assert report.passed, report.narrative
         p2, q2 = pair.concrete_of(prop.p), pair.concrete_of(prop.q)
         assert semantic_leadsto(pair.concrete, p2, q2).holds
@@ -405,17 +402,14 @@ def test_hidden_block_escape_fails_at_every_size(n):
     assert (without_z, 1) in report.witnesses
 
 
-def test_refined_ensures_reads_gates_in_order(ctr):
+def test_refined_ensures_reads_gates_in_order(ctr, monkeypatch):
     pair = _stutter_pair(ctr)
     evidence = discharge_lip_with_oracle(pair, ctr.prop)
-    gates = refinement_gates(pair, ctr.prop)
-    for gate in gates:
-        rest = [g for g in gates if g is not gate]
-        report = check_refined_ensures(pair, ctr.prop, evidence, rest)
-        assert report.verdict == "hypothesis-failed"
-        assert report.narrative == f"gate {gate.id} was not checked"
-    failing = [
-        ObligationReport(g.id, "fail", witnesses=(0,), narrative="planted") for g in gates
+    assert check_refined_ensures(pair, ctr.prop, evidence).passed
+    order = [
+        check_ensures(pair.abstract, ctr.prop).id,
+        *(r.id for r in check_all_event_refinements(pair)),
+        check_sap(pair, ctr.prop).id,
     ]
     narratives = [
         "abstract property failed: planted",
@@ -424,9 +418,23 @@ def test_refined_ensures_reads_gates_in_order(ctr):
         "event refinement failed: REF:tick",
         "safety preservation failed",
     ]
+    assert len(order) == len(narratives)
     for k, narrative in enumerate(narratives):
         # gates before k pass, gate k and everything after it fail
-        mixed = gates[:k] + failing[k:]
-        report = check_refined_ensures(pair, ctr.prop, evidence, mixed)
+        failing = set(order[k:])
+
+        def plant(check):
+            def planted(*args):
+                report = check(*args)
+                if report.id in failing:
+                    return ObligationReport(report.id, "fail", witnesses=(0,), narrative="planted")
+                return report
+
+            return planted
+
+        with monkeypatch.context() as patch:
+            for name in ("check_ensures", "check_event_refinement", "check_sap"):
+                patch.setattr(refinement, name, plant(getattr(refinement, name)))
+            report = check_refined_ensures(pair, ctr.prop, evidence)
         assert report.verdict == "hypothesis-failed"
         assert report.narrative == narrative
