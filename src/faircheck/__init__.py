@@ -22,7 +22,6 @@ from .commands import (
     grd_of,
     liberal_apply,
     magic,
-    pairing_check,
     pre_of,
     str_apply,
     transition_relation,

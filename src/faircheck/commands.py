@@ -235,11 +235,6 @@ def grd_of(c: Command) -> StateSet:
     return str_apply(c, c.space.empty()).complement()
 
 
-def pairing_check(c: Command, r: StateSet) -> bool:
-    """str, liberal and pre are linked by str(c)(r) = liberal(c)(r) & pre(c)."""
-    return str_apply(c, r) == liberal_apply(c, r) & pre_of(c)
-
-
 def _co_singleton_masks(c: Command) -> list[int]:
     """str(c)(u - {t}) for every state t, as masks."""
     space = c.space

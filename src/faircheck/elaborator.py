@@ -477,12 +477,12 @@ def elaborate(doc: ModelDocument, max_states: int = DEFAULT_MAX_STATES) -> Elabo
                 extra[gen] = trivial_ensures(owner.system, gen, conclusion.lhs, conclusion.rhs)
                 refs = (gen,)
             steps.append(ProofStep(sdecl2.name, sdecl2.rule, refs, conclusion))
+        try:
+            script = ProofScript(prdecl.name, tuple(steps))
+        except ValueError as err:  # two steps of one name
+            raise ElaborationError(f"{prdecl.name}: {err}") from err
         scripts[prdecl.name] = ElaboratedScript(
-            prdecl.name,
-            prdecl.goal,
-            goal_prop.source,
-            ProofScript(prdecl.name, tuple(steps)),
-            extra,
+            prdecl.name, prdecl.goal, goal_prop.source, script, extra
         )
 
     state_count = sum(s.space.size for s in owners.values())

@@ -32,11 +32,11 @@ Grammar (informal EBNF):
     comparison = expr ("=" | "/=" | "!=" | "<" | "<=" | ">" | ">=") expr
     expr       = integer arithmetic with + - * and unary minus
 
-Line comments start with //. Updates within one event act simultaneously
-(all right-hand sides read the pre-state); an "any" block must be the only
-update of its event. Predicates and expressions nest at most MAX_NESTING
-levels deep (each parenthesis, "not", "=>" and unary minus is one level);
-deeper input is a parse error.
+Integer literals are ASCII digits. Line comments start with //. Updates
+within one event act simultaneously (all right-hand sides read the
+pre-state); an "any" block must be the only update of its event. Predicates
+and expressions nest at most MAX_NESTING levels deep (each parenthesis,
+"not", "=>" and unary minus is one level); deeper input is a parse error.
 """
 
 from __future__ import annotations
@@ -67,12 +67,11 @@ class Span:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" | "warning"
     span: Span
     message: str
 
     def __str__(self) -> str:
-        return f"{self.span}: {self.severity}: {self.message}"
+        return f"{self.span}: error: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -130,9 +129,9 @@ def _lex(text: str) -> tuple[list[Token], list[Diagnostic]]:
             i += len(matched)
             col += len(matched)
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(Token("INT", text[i:j], span))
             col += j - i
@@ -148,7 +147,7 @@ def _lex(text: str) -> tuple[list[Token], list[Diagnostic]]:
             col += j - i
             i = j
             continue
-        problems.append(Diagnostic("error", span, f"unexpected character {ch!r}"))
+        problems.append(Diagnostic(span, f"unexpected character {ch!r}"))
         i += 1
         col += 1
     tokens.append(Token("EOF", "", Span(line, col)))
@@ -333,9 +332,7 @@ class ParseResult:
 
     @property
     def ok(self) -> bool:
-        return self.document is not None and not any(
-            d.severity == "error" for d in self.diagnostics
-        )
+        return self.document is not None
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +376,28 @@ class _Parser:
     def leave(self) -> None:
         self.depth -= 1
 
+    def literal(self) -> int:
+        tok = self.expect("INT")
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than Python converts to an int
+            message = f"integer literal of {len(tok.text)} digits is too long"
+            raise ParseError(tok.span, message) from None
+
     def integer(self) -> int:
         sign = 1
         if self.at("-"):
             self.advance()
             sign = -1
-        return sign * int(self.expect("INT").text)
+        return sign * self.literal()
+
+    def bounded_name(self) -> tuple[str, int, int]:
+        """NAME ":" INT ".." INT, the declaration of a var or an any binder."""
+        name = self.name()
+        self.expect(":")
+        lo = self.integer()
+        self.expect("..")
+        return name, lo, self.integer()
 
     # -- predicates and expressions --
 
@@ -477,8 +490,7 @@ class _Parser:
     def factor(self) -> Expr:
         tok = self.peek()
         if tok.kind == "INT":
-            self.advance()
-            return EInt(int(tok.text))
+            return EInt(self.literal())
         if tok.kind == "NAME":
             self.advance()
             return EVar(tok.text)
@@ -509,11 +521,7 @@ class _Parser:
     def update(self) -> Update:
         if self.at("any"):
             self.advance()
-            var = self.name()
-            self.expect(":")
-            lo = self.integer()
-            self.expect("..")
-            hi = self.integer()
+            var, lo, hi = self.bounded_name()
             self.expect("where")
             where = self.predicate()
             self.expect("then")
@@ -537,12 +545,7 @@ class _Parser:
 
     def var_decl(self) -> VarDecl:
         span = self.expect("var").span
-        name = self.name()
-        self.expect(":")
-        lo = self.integer()
-        self.expect("..")
-        hi = self.integer()
-        return VarDecl(name, lo, hi, span)
+        return VarDecl(*self.bounded_name(), span)
 
     def event_decl(self, concrete: bool) -> EventDecl:
         span = self.expect("event").span
@@ -562,51 +565,37 @@ class _Parser:
         self.expect("end")
         return EventDecl(name, guard, updates, span, refines)
 
-    def system_decl(self) -> SystemDecl:
-        span = self.expect("system").span
+    def block_decl(self) -> SystemDecl | RefinementDecl:
+        """A system, or a refinement of a named system: var, invariant (gluing
+        in a refinement) and event declarations in any order, then "end"."""
+        head = self.advance()
         name = self.name()
+        refined = None
+        if head.kind == "refinement":
+            self.expect("refines")
+            refined = self.name()
+        condition = "invariant" if refined is None else "gluing"
         variables: list[VarDecl] = []
-        invariants: list[Pred] = []
+        conditions: list[Pred] = []
         events: list[EventDecl] = []
         while not self.at("end"):
             if self.at("var"):
                 variables.append(self.var_decl())
-            elif self.at("invariant"):
+            elif self.at(condition):
                 self.advance()
-                invariants.append(self.predicate())
+                conditions.append(self.predicate())
             elif self.at("event"):
-                events.append(self.event_decl(concrete=False))
+                events.append(self.event_decl(concrete=refined is not None))
             else:
                 tok = self.peek()
                 raise ParseError(
-                    tok.span, f"expected var, invariant, event or end, found {tok.text!r}"
+                    tok.span, f"expected var, {condition}, event or end, found {tok.text!r}"
                 )
         self.expect("end")
-        return SystemDecl(name, tuple(variables), tuple(invariants), tuple(events), span)
-
-    def refinement_decl(self) -> RefinementDecl:
-        span = self.expect("refinement").span
-        name = self.name()
-        self.expect("refines")
-        refined = self.name()
-        variables: list[VarDecl] = []
-        gluings: list[Pred] = []
-        events: list[EventDecl] = []
-        while not self.at("end"):
-            if self.at("var"):
-                variables.append(self.var_decl())
-            elif self.at("gluing"):
-                self.advance()
-                gluings.append(self.predicate())
-            elif self.at("event"):
-                events.append(self.event_decl(concrete=True))
-            else:
-                tok = self.peek()
-                raise ParseError(
-                    tok.span, f"expected var, gluing, event or end, found {tok.text!r}"
-                )
-        self.expect("end")
-        return RefinementDecl(name, refined, tuple(variables), tuple(gluings), tuple(events), span)
+        body = (tuple(variables), tuple(conditions), tuple(events), head.span)
+        if refined is None:
+            return SystemDecl(name, *body)
+        return RefinementDecl(name, refined, *body)
 
     def property_decl(self, source: str) -> PropertyDecl:
         span = self.expect("property").span
@@ -684,14 +673,10 @@ def parse_document(text: str) -> ParseResult:
     current_source = ""
     while not parser.at("EOF"):
         try:
-            if parser.at("system"):
-                decl = parser.system_decl()
-                systems.append(decl)
+            if parser.at("system", "refinement"):
+                decl = parser.block_decl()
+                (systems if isinstance(decl, SystemDecl) else refinements).append(decl)
                 current_source = decl.name
-            elif parser.at("refinement"):
-                rdecl = parser.refinement_decl()
-                refinements.append(rdecl)
-                current_source = rdecl.name
             elif parser.at("property"):
                 if not current_source:
                     raise ParseError(parser.peek().span, "property appears before any system")
@@ -705,120 +690,15 @@ def parse_document(text: str) -> ParseResult:
                     f"expected system, refinement, property or proof, found {tok.text!r}",
                 )
         except ParseError as err:
-            diagnostics.append(Diagnostic("error", err.span, err.message))
+            diagnostics.append(Diagnostic(err.span, err.message))
             parser.advance()
             while not parser.at("EOF", *_TOP_LEVEL):
                 parser.advance()
-    if not systems and not any(d.severity == "error" for d in diagnostics):
-        diagnostics.append(Diagnostic("error", Span(1, 1), "no system declared"))
-    if any(d.severity == "error" for d in diagnostics):
+    if not systems and not diagnostics:
+        diagnostics.append(Diagnostic(Span(1, 1), "no system declared"))
+    if diagnostics:
         return ParseResult(None, diagnostics)
     document = ModelDocument(
         tuple(systems), tuple(refinements), tuple(properties), tuple(proofs)
     )
     return ParseResult(document, diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# Printer (only the round-trip stability test uses it)
-# ---------------------------------------------------------------------------
-
-
-def render_expr(e: Expr) -> str:
-    if isinstance(e, EInt):
-        return str(e.value)
-    if isinstance(e, EVar):
-        return e.name
-    if isinstance(e, ENeg):
-        return f"-{render_expr(e.inner)}"
-    if isinstance(e, EBin):
-        return f"({render_expr(e.left)} {e.op} {render_expr(e.right)})"
-    raise TypeError(e)
-
-
-def render_pred(p: Pred) -> str:
-    if isinstance(p, PBool):
-        return "true" if p.value else "false"
-    if isinstance(p, PCmp):
-        return f"{render_expr(p.left)} {p.op} {render_expr(p.right)}"
-    if isinstance(p, PNot):
-        return f"not ({render_pred(p.inner)})"
-    if isinstance(p, PAnd):
-        return f"({render_pred(p.left)} and {render_pred(p.right)})"
-    if isinstance(p, POr):
-        return f"({render_pred(p.left)} or {render_pred(p.right)})"
-    if isinstance(p, PImp):
-        return f"({render_pred(p.left)} => {render_pred(p.right)})"
-    raise TypeError(p)
-
-
-def _render_update(u: Update) -> str:
-    if isinstance(u, UAssign):
-        return f"{u.var} := {render_expr(u.value)}"
-    if isinstance(u, UChoose):
-        return f"{u.var} :: {{{', '.join(render_expr(o) for o in u.options)}}}"
-    if isinstance(u, UAny):
-        inner = " ; ".join(_render_update(x) for x in u.updates)
-        return (
-            f"any {u.var} : {u.lo} .. {u.hi} where {render_pred(u.where)} "
-            f"then {inner} end"
-        )
-    raise TypeError(u)
-
-
-def _render_event(e: EventDecl) -> list[str]:
-    refines = ""
-    if e.refines is not None:
-        refines = f" refines {e.refines}"
-    body = " ; ".join(_render_update(u) for u in e.updates)
-    return [f"  event {e.name}{refines} when {render_pred(e.guard)} then {body} end"]
-
-
-def render_document(doc: ModelDocument) -> str:
-    """Render a document back to source; parse(render(parse(x))) is stable."""
-    lines: list[str] = []
-    by_source: dict[str, list[PropertyDecl]] = {}
-    for prop in doc.properties:
-        by_source.setdefault(prop.source, []).append(prop)
-
-    def emit_properties(source: str) -> None:
-        for prop in by_source.get(source, []):
-            if prop.kind == "ensures":
-                kind = f"ensures helpful {{{', '.join(prop.helpful)}}}"
-            else:
-                kind = prop.kind
-            lines.append(
-                f"property {prop.name} {kind} from {render_pred(prop.frm)} "
-                f"to {render_pred(prop.to)}"
-            )
-
-    for sysd in doc.systems:
-        lines.append(f"system {sysd.name}")
-        for v in sysd.variables:
-            lines.append(f"  var {v.name} : {v.lo} .. {v.hi}")
-        for inv in sysd.invariants:
-            lines.append(f"  invariant {render_pred(inv)}")
-        for e in sysd.events:
-            lines.extend(_render_event(e))
-        lines.append("end")
-        emit_properties(sysd.name)
-    for refd in doc.refinements:
-        lines.append(f"refinement {refd.name} refines {refd.refined}")
-        for v in refd.variables:
-            lines.append(f"  var {v.name} : {v.lo} .. {v.hi}")
-        for g in refd.gluings:
-            lines.append(f"  gluing {render_pred(g)}")
-        for e in refd.events:
-            lines.extend(_render_event(e))
-        lines.append("end")
-        emit_properties(refd.name)
-    for proof in doc.proofs:
-        lines.append(f"proof {proof.name} goal {proof.goal}")
-        for s in proof.steps:
-            concl = ""
-            if s.frm is not None and s.to is not None:
-                concl = f" from {render_pred(s.frm)} to {render_pred(s.to)}"
-            refs = (" " + " ".join(s.refs)) if s.refs else ""
-            lines.append(f"  step {s.name} {s.rule}{refs}{concl}")
-        lines.append("end")
-    return "\n".join(lines) + "\n"

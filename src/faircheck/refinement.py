@@ -149,11 +149,28 @@ def check_all_event_refinements(rp: RefinementPair) -> list[ObligationReport]:
     return [check_event_refinement(rp, label) for label in rp.concrete.labels]
 
 
+def _failed_gate(rp: RefinementPair, prop: EnsuresProperty) -> tuple[str, tuple] | None:
+    """Why the preservation of an abstract property is blocked, with the
+    witnesses: its `ENS:<p>` fails, or else the first `REF:<label>` of the
+    pair that fails. None when all of them pass."""
+    abstract = check_ensures(rp.abstract, prop)
+    if not abstract.passed:
+        return f"abstract property failed: {abstract.narrative}", ()
+    for report in check_all_event_refinements(rp):
+        if not report.passed:
+            return f"event refinement failed: {report.id}", report.witnesses
+    return None
+
+
 def derived_inclusions(rp: RefinementPair, prop: EnsuresProperty) -> list[ObligationReport]:
     """Consequences of the simulation conditions plus the abstract property:
     the three concrete groups stay total and act correctly on the glued
     active set. These are theorems once the gates hold, so a fail flags an
-    engine defect rather than a model defect."""
+    engine defect rather than a model defect. When a gate fails they are
+    not run, and one hypothesis-failed `DRV:<p>` report says so."""
+    if _failed_gate(rp, prop) is not None:
+        narrative = "gates failed; derived inclusions not run"
+        return [ObligationReport(f"DRV:{prop.name}", "hypothesis-failed", narrative=narrative)]
     helpful, rest, new = rp.groups(prop)
     v = rp.concrete.space.universe()
     p2, q2 = rp.concrete_of(prop.p), rp.concrete_of(prop.q)
@@ -227,12 +244,12 @@ def check_refined_ensures(
 ) -> ObligationReport:
     """Certify preservation of an abstract ensures property.
 
-    The gates are the abstract `ENS:<p>`, every `REF:<label>` of the pair
-    and `SAP:<p>`, checked in that order; their verdicts are memoised on
-    the abstract system and on the pair, so gates already decided are not
-    decided again. A failing gate, or missing liveness evidence, yields
-    hypothesis-failed. On success the concrete ensures property and the
-    concrete leads-to are both re-verified semantically.
+    The gates are those of the derived inclusions, then `SAP:<p>`, checked
+    in that order; their verdicts are memoised on the abstract system and
+    on the pair, so gates already decided are not decided again. A failing
+    gate, or missing liveness evidence, yields hypothesis-failed. On
+    success the concrete ensures property and the concrete leads-to are
+    both re-verified semantically.
     """
     rid = f"RENS:{prop.name}"
     refs = (prop.name,)
@@ -240,12 +257,9 @@ def check_refined_ensures(
     def blocked(reason: str, witnesses: tuple = ()) -> ObligationReport:
         return ObligationReport(rid, "hypothesis-failed", witnesses, reason, refs)
 
-    abstract = check_ensures(rp.abstract, prop)
-    if not abstract.passed:
-        return blocked(f"abstract property failed: {abstract.narrative}")
-    for report in check_all_event_refinements(rp):
-        if not report.passed:
-            return blocked(f"event refinement failed: {report.id}", report.witnesses)
+    gate = _failed_gate(rp, prop)
+    if gate is not None:
+        return blocked(*gate)
     sap = check_sap(rp, prop)
     if not sap.passed:
         return blocked("safety preservation failed", sap.witnesses)

@@ -65,6 +65,11 @@ class StateSpace:
                 f"state space {self.id!r}: {len(self.labels)} labels for {self.size} states"
             )
 
+    def __hash__(self) -> int:
+        # agrees with ==, since equal spaces have equal ids and sizes; the
+        # labels are left out because hashing them walks every state
+        return hash((self.id, self.size))
+
     def same_as(self, other: "StateSpace") -> bool:
         return self.id == other.id and self.size == other.size
 

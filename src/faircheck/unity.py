@@ -81,8 +81,6 @@ def trivial_ensures(sys: EventSystem, name: str, p: StateSet, q: StateSet) -> En
 # Proof scripts
 # ---------------------------------------------------------------------------
 
-RULES = ("brl", "tra", "dsj", "psp", "can", "thlto")
-
 
 class RuleError(Exception):
     def __init__(self, step: str, message: str):

@@ -115,6 +115,39 @@ def test_missing_file_exit_code(capsys):
     assert run_cli(["check", "no-such-file.fb"]) == 2
 
 
+def _diagnostics(tmp_path, capsys, text: str) -> list[str]:
+    path = tmp_path / "hostile.fb"
+    path.write_text(text, encoding="utf-8")
+    code = run_cli(["report", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    return [line.replace(str(path), "M") for line in captured.err.splitlines()]
+
+
+def test_unicode_digit_is_a_diagnostic(tmp_path, capsys):
+    # "²" passes str.isdigit, but only ASCII digits make an integer literal
+    text = "system s\n var x : 0..²\n event e when true then x := 0 end\nend\n"
+    assert "M:2:13: error: unexpected character '²'" in _diagnostics(tmp_path, capsys, text)
+
+
+def test_integer_literal_beyond_conversion_limit_is_a_diagnostic(tmp_path, capsys):
+    # Python refuses to convert a string of more than 4300 digits to an int
+    digits = "9" * 5000
+    text = f"system s\n var x : 0..1\n event e when true then x := x + {digits} end\nend\n"
+    assert _diagnostics(tmp_path, capsys, text) == [
+        "M:3:34: error: integer literal of 5000 digits is too long"
+    ]
+
+
+def test_undecodable_file_is_a_read_error(tmp_path, capsys):
+    path = tmp_path / "latin1.fb"
+    path.write_bytes("system s // café\nend\n".encode("latin-1"))
+    code = run_cli(["report", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"cannot read {path}: 'utf-8' codec can't decode")
+
+
 def test_max_states_flag(capsys, tmp_path):
     model = tmp_path / "wide.fb"
     model.write_text(
@@ -241,6 +274,26 @@ def test_refine_with_failing_abstract_property_skips_derived_inclusions(capsys, 
     rens = verdicts["RENS:P1"]
     assert rens["verdict"] == "hypothesis-failed"
     assert rens["narrative"].startswith("abstract property failed: WF0:P1 failed")
+
+
+def test_refine_with_failing_event_refinement_skips_derived_inclusions(capsys, tmp_path):
+    # inc2 resets y where inc swaps 1 and 2, so inc2 does not simulate inc;
+    # the abstract property still holds
+    model = tmp_path / "reset_pair.fb"
+    model.write_text(Path(CTR).read_text().replace("then y := 3 - y end", "then y := 0 end", 1))
+    code, out = _run(capsys, "refine", str(model), "--pair", "ctr2", "--format", "json")
+    assert code == 1
+    verdicts = {o["id"]: o for o in json.loads(out)["obligations"]}
+    assert verdicts["REF:inc2"]["verdict"] == "fail"
+    assert verdicts["DRV:P1"] == {
+        "id": "DRV:P1",
+        "verdict": "hypothesis-failed",
+        "witnesses": [],
+        "refs": [],
+        "narrative": "gates failed; derived inclusions not run",
+    }
+    assert not any(rid.startswith("DRV:P1:") for rid in verdicts)
+    assert verdicts["RENS:P1"]["narrative"] == "event refinement failed: REF:inc2"
 
 
 @pytest.mark.parametrize(

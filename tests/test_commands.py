@@ -20,7 +20,6 @@ from faircheck import (
     grd_of,
     liberal_apply,
     magic,
-    pairing_check,
     pre_of,
     str_apply,
     transition_relation,
@@ -165,14 +164,6 @@ def test_dovetail_note_intersection_equality():
         assert lib_empty & f_empty == lib_empty & f_top
         seen_diff = seen_diff or f_empty != f_top
     assert seen_diff, "corpus should include commands where F(empty) != F(u)"
-
-
-def test_pairing_holds_on_random_corpus():
-    rng = random.Random(2)
-    for _ in range(200):
-        space = StateSpace("u", rng.randint(1, 6))
-        c = random_command(rng, space, depth=3)
-        assert pairing_check(c, random_subset(rng, space))
 
 
 def test_str_equals_structural_wp_without_dovetail():

@@ -146,6 +146,17 @@ def test_unknown_variable_and_duplicate_event():
         )
 
 
+def test_duplicate_proof_step_is_an_elaboration_error():
+    with pytest.raises(ElaborationError) as err:
+        _elab(
+            "system s\n var x : 0..1\n event e when x = 0 then x := 1 end\nend\n"
+            "property L leadsto from x = 0 to x = 1\n"
+            "proof main goal L\n step a brl from x = 1 to x = 1\n"
+            " step a brl from x = 1 to x = 1\nend\n"
+        )
+    assert str(err.value) == "main: duplicate step name 'a'"
+
+
 def test_any_binder_cannot_shadow_state_variable():
     source = (
         "system s\n var x : 0..2\n var y : 0..2\n"

@@ -9,7 +9,6 @@ from faircheck.parser import (
     PNot,
     POr,
     parse_document,
-    render_document,
 )
 
 CTR_SOURCE = (Path(__file__).parent.parent / "models" / "ctr.fb").read_text()
@@ -135,12 +134,3 @@ def test_update_forms_parse():
 def test_comments_are_ignored():
     source = "// header\nsystem s // trailing\n var x : 0..1\n event e when true then x := 0 end\nend\n"
     assert parse_document(source).ok
-
-
-def test_render_parse_roundtrip_is_stable():
-    first = parse_document(CTR_SOURCE)
-    assert first.ok
-    printed = render_document(first.document)
-    second = parse_document(printed)
-    assert second.ok, second.diagnostics
-    assert render_document(second.document) == printed

@@ -122,6 +122,23 @@ def test_labels_render_states():
     assert space.subset([0, 1]).pretty() == "{x=0, x=1}"
 
 
+def test_hashing_a_space_reads_no_label():
+    # memo lookups keyed by a property hash its sets, and with them the
+    # space; that must not cost a walk over every state label
+    hashed = []
+
+    class Label(str):
+        def __hash__(self) -> int:
+            hashed.append(self)
+            return str.__hash__(self)
+
+    space = StateSpace("u", 3, labels=tuple(Label(f"x={i}") for i in range(3)))
+    same = StateSpace("u", 3, labels=("x=0", "x=1", "x=2"))
+    assert hash(space) == hash(same) and space == same
+    assert hash(space.universe()) == hash(same.universe())
+    assert hashed == []
+
+
 def _probe_masks(rng: random.Random, space: StateSpace) -> list[int]:
     n = space.size
     masks = [0, space.full_mask, 1, 1 << (n - 1), space.full_mask >> 1]
