@@ -17,7 +17,6 @@ from .commands import (
     Prim,
     Seq,
     Skip,
-    choice_of,
     conjunctivity_check,
     grd_of,
     liberal_apply,

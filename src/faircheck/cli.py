@@ -37,12 +37,11 @@ from .obligations import (
 )
 from .parser import parse_document
 from .refinement import (
-    LipEvidence,
     check_all_event_refinements,
     check_refined_ensures,
     check_sap,
     derived_inclusions,
-    lip_goal,
+    discharge_lip_with_oracle,
 )
 from .reports import ReportDocument, ReportEntry, lasso_json
 from .unity import ScriptEnv, check_script, check_unless, semantic_leadsto
@@ -97,18 +96,17 @@ def _refinement_reports(model: ElaboratedModel, pair_name: str, doc: ReportDocum
     for prop in ensures_props:
         ens = prop.as_ensures()
         doc.add(check_sap(pair, ens), concrete)
-        goal = lip_goal(pair, ens)
-        verdict = semantic_leadsto(concrete.system, goal.lhs, goal.rhs)
+        evidence = discharge_lip_with_oracle(pair, ens)
         lasso = (
-            lasso_json(concrete, verdict.lasso) if verdict.lasso is not None else None
+            lasso_json(concrete, evidence.lasso) if evidence.lasso is not None else None
         )
         doc.add(
             ObligationReport(
                 f"LIP-goal:{prop.name}",
-                "pass" if verdict.holds else "fail",
-                witnesses=goal.lhs.members() if not verdict.holds else (),
+                "pass" if evidence.holds else "fail",
+                witnesses=evidence.goal.lhs.members() if not evidence.holds else (),
                 narrative="discharged by the semantic oracle"
-                if verdict.holds
+                if evidence.holds
                 else "the concrete system can avoid the refined helpful guard",
                 refs=(prop.name, pair_name),
             ),
@@ -117,7 +115,6 @@ def _refinement_reports(model: ElaboratedModel, pair_name: str, doc: ReportDocum
         )
         for report in derived_inclusions(pair, ens):
             doc.add(report, concrete)
-        evidence = LipEvidence(goal, verdict.holds, "oracle")
         doc.add(check_refined_ensures(pair, ens, evidence), concrete)
 
 

@@ -14,9 +14,10 @@ independent recursion.
 
 Primitive commands are transition relations read demonically: from x the
 command may move to any successor, and a state without successors is a
-miracle (it establishes every postcondition). Fair choice runs both
-operands fairly and accepts any proper outcome of either; it shares the
-liberal semantics of plain choice but has a weaker termination demand.
+miracle (it establishes every postcondition). Choice is n-ary: it ranges
+over a family of commands, and the empty family is magic. Fair choice runs
+both operands fairly and accepts any proper outcome of either; it shares
+the liberal semantics of plain choice but has a weaker termination demand.
 """
 
 from __future__ import annotations
@@ -96,15 +97,18 @@ class Precond(Command):
 
 @dataclass(frozen=True)
 class Choice(Command):
-    left: Command
-    right: Command
+    """Demonic choice over a family of commands; the empty family is magic."""
+
+    at: StateSpace
+    options: tuple[Command, ...]
 
     def __post_init__(self) -> None:
-        _check_sub(self.left.space, self.right)
+        for option in self.options:
+            _check_sub(self.at, option)
 
     @property
     def space(self) -> StateSpace:
-        return self.left.space
+        return self.at
 
 
 @dataclass(frozen=True)
@@ -137,17 +141,7 @@ class Dovetail(Command):
 
 def magic(space: StateSpace) -> Command:
     """The empty choice: miraculous everywhere (guard false on all states)."""
-    return Guard(space.empty(), Skip(space))
-
-
-def choice_of(commands: list[Command], space: StateSpace) -> Command:
-    """Fold a family of commands into nested binary choice; empty family is magic."""
-    if not commands:
-        return magic(space)
-    acc = commands[0]
-    for c in commands[1:]:
-        acc = Choice(acc, c)
-    return acc
+    return Choice(space, ())
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +188,10 @@ def liberal_apply(c: Command, r: StateSet) -> StateSet:
         top = space.universe() if r.is_universe() else space.empty()
         return (c.require | top) & liberal_apply(c.body, r)
     if isinstance(c, Choice):
-        return liberal_apply(c.left, r) & liberal_apply(c.right, r)
+        mask = space.full_mask
+        for option in c.options:
+            mask &= liberal_apply(option, r).mask
+        return StateSet(space, mask)
     if isinstance(c, Seq):
         return liberal_apply(c.first, liberal_apply(c.second, r))
     if isinstance(c, Dovetail):
@@ -213,7 +210,10 @@ def pre_of(c: Command) -> StateSet:
     if isinstance(c, Precond):
         return c.require & pre_of(c.body)
     if isinstance(c, Choice):
-        return pre_of(c.left) & pre_of(c.right)
+        mask = space.full_mask
+        for option in c.options:
+            mask &= pre_of(option).mask
+        return StateSet(space, mask)
     if isinstance(c, Seq):
         return str_apply(c.first, pre_of(c.second))
     if isinstance(c, Dovetail):

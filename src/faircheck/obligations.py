@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .commands import Command, choice_of, grd_of, memo_on_owner, pre_of, str_apply
+from .commands import Choice, Command, grd_of, memo_on_owner, pre_of, str_apply
 from .fairloop import FairLoop, check_total_correctness
 from .sets import SpaceMismatchError, StateSet, StateSpace
 
@@ -29,8 +29,8 @@ class EngineDefect(Exception):
 
 
 class EventSystem:
-    """An ordered family of named events over one space. The WF0, WF1,
-    ensures and unless checks memoise their verdicts on it."""
+    """An ordered family of named events over one space. Its event groups
+    and the WF0, WF1, ensures and unless verdicts are memoised on it."""
 
     def __init__(self, space: StateSpace, events: Mapping[str, Command]):
         if not events:
@@ -43,18 +43,20 @@ class EventSystem:
                 raise SpaceMismatchError(space, cmd.space, f"add event {name!r} over")
             if pre_of(cmd) != u:
                 raise ModelError(f"event {name!r} may fail to terminate (pre is not the universe)")
-        self._whole = choice_of(list(self.events.values()), space)
 
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(self.events)
 
-    def command(self) -> Command:
-        """The whole system as the choice over all its events."""
-        return self._whole
+    @memo_on_owner
+    def choice(self, labels: frozenset[str]) -> Choice:
+        """The flat choice over the named events, in system order; one
+        object per label set, so its pre and guard are computed once."""
+        return Choice(self.space, tuple(e for l, e in self.events.items() if l in labels))
 
     def apply(self, r: StateSet) -> StateSet:
-        return str_apply(self._whole, r)
+        """The whole system's transformer: the choice over all its events."""
+        return str_apply(self.choice(frozenset(self.events)), r)
 
     def __repr__(self) -> str:
         return f"EventSystem({self.space.id}, events={list(self.events)})"
@@ -82,15 +84,13 @@ def split_system(sys: EventSystem, helpful_labels: Iterable[str]) -> tuple[Comma
     When every event is helpful the rest is the empty choice (miraculous
     everywhere), so the split always recombines to the whole system.
     """
-    chosen = set(helpful_labels)
+    chosen = frozenset(helpful_labels)
     if not chosen:
         raise ModelError("helpful label set must be nonempty")
-    unknown = chosen - set(sys.labels)
+    unknown = chosen.difference(sys.events)
     if unknown:
         raise ModelError(f"helpful labels not in system: {sorted(unknown)}")
-    helpful = choice_of([sys.events[l] for l in sys.labels if l in chosen], sys.space)
-    rest = choice_of([sys.events[l] for l in sys.labels if l not in chosen], sys.space)
-    return helpful, rest
+    return sys.choice(chosen), sys.choice(frozenset(sys.events) - chosen)
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,10 @@ Grammar (informal EBNF):
 
 Integer literals are ASCII digits. Line comments start with //. Updates
 within one event act simultaneously (all right-hand sides read the
-pre-state); an "any" block must be the only update of its event. Predicates
-and expressions nest at most MAX_NESTING levels deep (each parenthesis,
-"not", "=>" and unary minus is one level); deeper input is a parse error.
+pre-state); an "any" block must be the only update of its event. Predicates,
+expressions and updates nest at most MAX_NESTING levels deep (each
+parenthesis, "not", "=>", unary minus and "any" block is one level); deeper
+input is a parse error.
 """
 
 from __future__ import annotations
@@ -520,14 +521,18 @@ class _Parser:
 
     def update(self) -> Update:
         if self.at("any"):
-            self.advance()
-            var, lo, hi = self.bounded_name()
-            self.expect("where")
-            where = self.predicate()
-            self.expect("then")
-            inner = self.updates()
-            self.expect("end")
-            return UAny(var, lo, hi, where, inner)
+            self.enter()
+            try:
+                self.advance()
+                var, lo, hi = self.bounded_name()
+                self.expect("where")
+                where = self.predicate()
+                self.expect("then")
+                inner = self.updates()
+                self.expect("end")
+                return UAny(var, lo, hi, where, inner)
+            finally:
+                self.leave()
         var = self.name()
         if self.at("::"):
             self.advance()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .commands import Command, Skip, choice_of, grd_of, memo_on_owner, str_apply
+from .commands import Command, Skip, grd_of, memo_on_owner, str_apply
 from .obligations import (
     EnsuresProperty,
     EventSystem,
@@ -25,7 +25,7 @@ from .obligations import (
     inclusion_report,
 )
 from .sets import StateRelation, StateSet
-from .unity import LeadsTo, semantic_leadsto
+from .unity import FairLasso, LeadsTo, semantic_leadsto
 
 
 class RefinementPair:
@@ -65,13 +65,12 @@ class RefinementPair:
         self.gluing = gluing
         self.refines = dict(refines)
 
-    def new_labels(self) -> tuple[str, ...]:
-        return tuple(l for l in self.concrete.labels if self.refines[l] is None)
-
-    def refining_labels(self, abstract_labels: frozenset[str]) -> tuple[str, ...]:
-        return tuple(
-            l for l in self.concrete.labels if self.refines[l] in abstract_labels
-        )
+    def helpful_labels(self, prop: EnsuresProperty) -> frozenset[str]:
+        """The concrete events that refine one of the property's helpful events."""
+        unknown = prop.helpful - set(self.abstract.labels)
+        if unknown:
+            raise ModelError(f"property helpful events not in abstract system: {sorted(unknown)}")
+        return frozenset(l for l, a in self.refines.items() if a in prop.helpful)
 
     def concrete_of(self, s: StateSet) -> StateSet:
         """The concrete counterpart of an abstract set (inverse gluing image)."""
@@ -79,18 +78,10 @@ class RefinementPair:
 
     def groups(self, prop: EnsuresProperty) -> tuple[Command, Command, Command]:
         """Concrete (helpful, refining-rest, new) choices for one property."""
-        unknown = prop.helpful - set(self.abstract.labels)
-        if unknown:
-            raise ModelError(f"property helpful events not in abstract system: {sorted(unknown)}")
-        v = self.concrete.space
-        helpful = self.refining_labels(prop.helpful)
-        rest = tuple(
-            l
-            for l in self.concrete.labels
-            if self.refines[l] is not None and self.refines[l] not in prop.helpful
-        )
-        new = self.new_labels()
-        pick = lambda names: choice_of([self.concrete.events[l] for l in names], v)
+        helpful = self.helpful_labels(prop)
+        new = frozenset(l for l, a in self.refines.items() if a is None)
+        rest = frozenset(self.refines) - helpful - new
+        pick = self.concrete.choice
         return pick(helpful), pick(rest), pick(new)
 
 
@@ -194,9 +185,9 @@ def derived_inclusions(rp: RefinementPair, prop: EnsuresProperty) -> list[Obliga
 def check_sap(rp: RefinementPair, prop: EnsuresProperty) -> ObligationReport:
     """Safety preservation: from glued active states where the refined
     helpful guard holds, every other concrete event keeps that guard."""
-    helpful, rest, new = rp.groups(prop)
-    others = choice_of([rest, new], rp.concrete.space)
-    guard = grd_of(helpful)
+    helpful = rp.helpful_labels(prop)
+    others = rp.concrete.choice(frozenset(rp.refines) - helpful)
+    guard = grd_of(rp.concrete.choice(helpful))
     active = rp.concrete_of(prop.p & prop.q.complement()) & guard
     kept = str_apply(others, guard)
     narrative = "a non-helpful concrete event can leave the refined helpful guard"
@@ -206,8 +197,7 @@ def check_sap(rp: RefinementPair, prop: EnsuresProperty) -> ObligationReport:
 def lip_goal(rp: RefinementPair, prop: EnsuresProperty) -> LeadsTo:
     """Liveness preservation goal: from glued active states outside the
     refined helpful guard, the concrete system reaches that guard."""
-    helpful, _, _ = rp.groups(prop)
-    guard = grd_of(helpful)
+    guard = grd_of(rp.concrete.choice(rp.helpful_labels(prop)))
     lhs = rp.concrete_of(prop.p & prop.q.complement()) & guard.complement()
     return LeadsTo(lhs, guard, f"LIP:{prop.name}")
 
@@ -215,27 +205,28 @@ def lip_goal(rp: RefinementPair, prop: EnsuresProperty) -> LeadsTo:
 @dataclass(frozen=True)
 class LipEvidence:
     """A discharged liveness-preservation goal: oracle verdict or a checked
-    proof script, together with the goal it certifies."""
+    proof script, together with the goal it certifies and, when the oracle
+    refuted it with one, the counterexample lasso."""
 
     goal: LeadsTo
     holds: bool
     source: str  # "oracle" | "script:<name>"
+    lasso: FairLasso | None = None
 
 
 def discharge_lip_with_oracle(rp: RefinementPair, prop: EnsuresProperty) -> LipEvidence:
     goal = lip_goal(rp, prop)
     verdict = semantic_leadsto(rp.concrete, goal.lhs, goal.rhs)
-    return LipEvidence(goal, verdict.holds, "oracle")
+    return LipEvidence(goal, verdict.holds, "oracle", verdict.lasso)
 
 
 def concrete_property(rp: RefinementPair, prop: EnsuresProperty) -> EnsuresProperty:
     """The ensures property certified on the concrete system: from the glued
     p inside the refined helpful guard, the refining events establish the
     glued q."""
-    helpful, _, _ = rp.groups(prop)
-    p2 = rp.concrete_of(prop.p) & grd_of(helpful)
+    labels = rp.helpful_labels(prop)
+    p2 = rp.concrete_of(prop.p) & grd_of(rp.concrete.choice(labels))
     q2 = rp.concrete_of(prop.q)
-    labels = frozenset(rp.refining_labels(prop.helpful))
     return EnsuresProperty(f"{prop.name}'", labels, p2, q2)
 
 

@@ -96,7 +96,7 @@ def random_command(
     if kind == "precond":
         return Precond(random_subset(rng, space), sub())
     if kind == "choice":
-        return Choice(sub(), sub())
+        return Choice(space, (sub(), sub()))
     if kind == "seq":
         return Seq(sub(), sub())
     return Dovetail(sub(), sub())
@@ -206,8 +206,15 @@ def structural_wp(c: Command) -> Callable[[StateSet], StateSet]:
         body = structural_wp(c.body)
         return lambda r: c.require & body(r)
     if isinstance(c, Choice):
-        left, right = structural_wp(c.left), structural_wp(c.right)
-        return lambda r: left(r) & right(r)
+        options = [structural_wp(option) for option in c.options]
+
+        def choice(r: StateSet) -> StateSet:
+            out = space.universe()
+            for option in options:
+                out = out & option(r)
+            return out
+
+        return choice
     if isinstance(c, Seq):
         first, second = structural_wp(c.first), structural_wp(c.second)
         return lambda r: first(second(r))
@@ -220,7 +227,7 @@ def has_dovetail(c: Command) -> bool:
     if isinstance(c, (Guard, Precond)):
         return has_dovetail(c.body)
     if isinstance(c, Choice):
-        return has_dovetail(c.left) or has_dovetail(c.right)
+        return any(has_dovetail(option) for option in c.options)
     if isinstance(c, Seq):
         return has_dovetail(c.first) or has_dovetail(c.second)
     return False
@@ -239,7 +246,7 @@ def ast_system(rng: random.Random, size: int, n_events: int, space_id: str = "u"
     for i in range(n_events):
         label = f"e{i}"
         sub = lambda: random_command(rng, space, 2, total_only=True, allow_dovetail=False)
-        cmd = Choice(sub(), sub()) if rng.random() < 0.5 else Seq(sub(), sub())
+        cmd = Choice(space, (sub(), sub())) if rng.random() < 0.5 else Seq(sub(), sub())
         events[label] = cmd
         wp = structural_wp(cmd)
         guards[label] = wp(space.empty()).complement()
@@ -494,22 +501,32 @@ def split_refinement(
 # ---------------------------------------------------------------------------
 
 
+def _bits(mask: int) -> str:
+    """The bits of mask as a string whose character i is bit i, read once
+    so that a probe costs one index instead of a shift of the whole mask."""
+    return bin(mask)[:1:-1]
+
+
+def _mask(states: set[int]) -> int:
+    """The mask of a set of states, built from one string of digits."""
+    digits = bytearray(b"0" * (max(states, default=0) + 1))
+    for s in states:
+        digits[-1 - s] = ord("1")
+    return int(digits, 2)
+
+
 def pair_pre_image(pairs: Iterable[tuple[int, int]], mask: int) -> int:
     """Sources of the pairs whose target bit is set in mask, pair by pair."""
-    out = 0
-    for s, t in pairs:
-        if mask >> t & 1:
-            out |= 1 << s
-    return out
+    bits = _bits(mask)
+    n = len(bits)
+    return _mask({s for s, t in pairs if t < n and bits[t] == "1"})
 
 
 def pair_image(pairs: Iterable[tuple[int, int]], mask: int) -> int:
     """Targets of the pairs whose source bit is set in mask, pair by pair."""
-    out = 0
-    for s, t in pairs:
-        if mask >> s & 1:
-            out |= 1 << t
-    return out
+    bits = _bits(mask)
+    n = len(bits)
+    return _mask({t for s, t in pairs if s < n and bits[s] == "1"})
 
 
 def kernel_relations(rng: random.Random) -> list[tuple[str, StateRelation]]:

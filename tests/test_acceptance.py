@@ -88,7 +88,7 @@ def _collect_dovetails(c):
         elif hasattr(node, "body"):
             stack.append(node.body)
         elif isinstance(node, Choice):
-            stack.extend((node.left, node.right))
+            stack.extend(node.options)
         elif hasattr(node, "first"):
             stack.extend((node.first, node.second))
     return out

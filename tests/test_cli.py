@@ -72,6 +72,32 @@ def test_oracle_failure_carries_lasso(capsys, tmp_path):
     assert item["lasso"]["cycle"]
 
 
+def test_failed_lip_goal_carries_lasso(capsys, tmp_path):
+    # the new events spin between y = 0 and y = 1; up is disabled at y = 1,
+    # so a weakly fair run avoids the refined helpful guard y = 2
+    source = (
+        "system a\n var x : 0..1\n event go when x = 0 then x := 1 end\nend\n"
+        "property P ensures helpful {go} from x = 0 to x = 1\n"
+        "refinement c refines a\n var y : 0..3\n"
+        " gluing (y < 3 and x = 0) or (y = 3 and x = 1)\n"
+        " event g refines go when y = 2 then y := 3 end\n"
+        " event spin refines skip when y < 2 then y := 1 - y end\n"
+        " event up refines skip when y = 0 then y := 2 end\n"
+        "end\n"
+    )
+    model = tmp_path / "lip.fb"
+    model.write_text(source)
+    code, out = _run(capsys, "refine", str(model), "--pair", "c", "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert validate_report(data) == []
+    items = {item["id"]: item for item in data["obligations"]}
+    assert items["SAP:P"]["verdict"] == "pass"
+    assert items["LIP-goal:P"]["verdict"] == "fail"
+    assert items["LIP-goal:P"]["lasso"]["cycle"]
+    assert items["RENS:P"]["verdict"] == "hypothesis-failed"
+
+
 def test_oracle_requires_known_property(capsys):
     code = run_cli(["oracle", CTR, "--property", "NOPE"])
     assert code == 2
@@ -209,6 +235,51 @@ def test_unbounded_enumerations_stop_at_the_state_bound(tmp_path, text, diagnost
     assert result.returncode == 2
     assert diagnostic in result.stderr
     assert elapsed < 1, elapsed
+
+
+def _wide_system(n: int) -> list[str]:
+    return [
+        "system a",
+        "  var x : 0..2",
+        *(f"  event e{i} when x = 1 then x := 2 end" for i in range(n)),
+        "  event go when x = 0 then x := 1 end",
+        "end",
+        "property P ensures helpful {go} from x = 0 to x = 1",
+    ]
+
+
+def _wide_refinement(n: int) -> list[str]:
+    return _wide_system(n) + [
+        "refinement c refines a",
+        "  var y : 0..2",
+        "  gluing y = x",
+        *(f"  event f{i} refines e{i} when y = 1 then y := 2 end" for i in range(n)),
+        "  event g refines go when y = 0 then y := 1 end",
+        "end",
+    ]
+
+
+@pytest.mark.parametrize(
+    "lines, passed",
+    [
+        pytest.param(_wide_system(5000), 3, id="5000-events"),
+        pytest.param(_wide_refinement(2000), 2013, id="2000-event-refinement"),
+    ],
+)
+def test_many_events_are_checked_without_deep_recursion(tmp_path, lines, passed):
+    # every event group is one flat choice, so no recursion grows with the
+    # number of events; a fresh process with a timeout, so a regression
+    # fails the test instead of hanging it
+    path = tmp_path / "wide.fb"
+    path.write_text("\n".join(lines) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "faircheck", "report", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stderr == ""
+    assert f"summary: {passed}/{passed} obligations passed" in result.stdout
 
 
 def test_refine_19_concrete_states_is_checked_exactly(capsys, tmp_path):
@@ -447,6 +518,35 @@ def test_nesting_within_the_limit_is_checked(tmp_path, capsys, depth):
     code, out = _run(capsys, "check", str(path))
     assert code == 0
     assert "ENS:P" in out
+
+
+def _nested_any(depth: int) -> str:
+    body = "x := 1"
+    for i in range(depth):
+        body = f"any z{i} : 0..0 where true then {body} end"
+    return f"system s\n  var x : 0..1\n  event e when x = 0 then {body} end\nend\n"
+
+
+@pytest.mark.parametrize("depth", [101, 500])
+def test_deeply_nested_any_blocks_are_a_diagnostic(tmp_path, capsys, depth):
+    # each any block is one nesting level; the diagnostic points at the
+    # 101st block from the outside
+    path = tmp_path / "deep.fb"
+    text = _nested_any(depth)
+    path.write_text(text)
+    code = run_cli(["check", str(path)])
+    err = capsys.readouterr().err
+    column = text.splitlines()[2].index(f"any z{depth - 101} ") + 1
+    assert code == 2
+    assert err == f"{path}:3:{column}: error: nested deeper than 100 levels\n"
+
+
+def test_nested_any_blocks_within_the_limit_are_checked(tmp_path, capsys):
+    path = tmp_path / "nested.fb"
+    path.write_text(_nested_any(100))
+    code, out = _run(capsys, "check", str(path))
+    assert code == 0
+    assert "summary: 0/0 obligations passed" in out
 
 
 CHAINED = """system s

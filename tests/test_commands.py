@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import operator
 import random
 
 import pytest
@@ -111,6 +113,68 @@ def test_space_mismatch():
         liberal_apply(Skip(a), b.universe())
     with pytest.raises(SpaceMismatchError):
         Guard(a.universe(), Skip(b))
+    with pytest.raises(SpaceMismatchError):
+        Choice(a, (Skip(a), Skip(b)))
+
+
+def test_empty_choice_is_magic():
+    rng = random.Random(21)
+    for size in range(1, 7):
+        space = StateSpace("u", size)
+        empty = Choice(space, ())
+        assert magic(space) == empty
+        assert grd_of(empty).is_empty()
+        assert pre_of(empty) == space.universe()
+        for _ in range(8):
+            r = random_subset(rng, space)
+            assert liberal_apply(empty, r) == space.universe()
+            assert str_apply(empty, r) == space.universe()
+
+
+def test_one_option_choice_is_its_option():
+    rng = random.Random(22)
+    for _ in range(120):
+        space = StateSpace("u", rng.randint(1, 6))
+        option = random_command(rng, space, depth=2)
+        single = Choice(space, (option,))
+        assert pre_of(single) == pre_of(option)
+        for _ in range(4):
+            r = random_subset(rng, space)
+            assert liberal_apply(single, r) == liberal_apply(option, r)
+            assert str_apply(single, r) == str_apply(option, r)
+
+
+def _random_options(rng: random.Random, space: StateSpace) -> tuple:
+    return tuple(random_command(rng, space, depth=2) for _ in range(rng.randint(0, 5)))
+
+
+def test_choice_is_the_meet_of_its_options():
+    rng = random.Random(23)
+    for _ in range(120):
+        space = StateSpace("u", rng.randint(1, 6))
+        options = _random_options(rng, space)
+        choice = Choice(space, options)
+        meet = lambda parts: functools.reduce(operator.and_, parts, space.universe())
+        assert pre_of(choice) == meet(pre_of(o) for o in options)
+        for _ in range(4):
+            r = random_subset(rng, space)
+            assert liberal_apply(choice, r) == meet(liberal_apply(o, r) for o in options)
+            assert str_apply(choice, r) == meet(str_apply(o, r) for o in options)
+
+
+def test_choice_does_not_depend_on_the_order_of_its_options():
+    rng = random.Random(24)
+    for _ in range(120):
+        space = StateSpace("u", rng.randint(1, 6))
+        options = _random_options(rng, space)
+        shuffled = list(options)
+        rng.shuffle(shuffled)
+        a, b = Choice(space, options), Choice(space, tuple(shuffled))
+        assert pre_of(a) == pre_of(b) and grd_of(a) == grd_of(b)
+        for _ in range(4):
+            r = random_subset(rng, space)
+            assert liberal_apply(a, r) == liberal_apply(b, r)
+            assert str_apply(a, r) == str_apply(b, r)
 
 
 def test_dovetail_guard_law_random():
@@ -146,8 +210,8 @@ def test_liberal_sequencing_composes():
         g = random_command(rng, space, depth=2)
         r = random_subset(rng, space)
         assert liberal_apply(Seq(f, g), r) == liberal_apply(f, liberal_apply(g, r))
-        assert liberal_apply(Choice(f, g), r) == liberal_apply(f, r) & liberal_apply(g, r)
-        assert liberal_apply(Dovetail(f, g), r) == liberal_apply(Choice(f, g), r)
+        assert liberal_apply(Choice(space, (f, g)), r) == liberal_apply(f, r) & liberal_apply(g, r)
+        assert liberal_apply(Dovetail(f, g), r) == liberal_apply(Choice(space, (f, g)), r)
 
 
 def test_dovetail_note_intersection_equality():
@@ -252,7 +316,7 @@ def test_transition_relation_of_choice():
     space = StateSpace("u", 3)
     a = Guard(space.subset([0]), Prim(StateRelation(space, space, [(0, 1)])))
     b = Guard(space.subset([0]), Prim(StateRelation(space, space, [(0, 2)])))
-    merged = transition_relation(Choice(a, b))
+    merged = transition_relation(Choice(space, (a, b)))
     assert merged.pairs == frozenset({(0, 1), (0, 2)})
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from faircheck import obligations
+from faircheck import commands, obligations
 from faircheck import (
     EnsuresProperty,
     EventSystem,
@@ -20,6 +20,7 @@ from faircheck import (
     check_wf0,
     check_wf1,
     grd_of,
+    pre_of,
     semantic_leadsto,
     split_system,
     str_apply,
@@ -59,6 +60,26 @@ def test_split_system_input_validation(ctr):
         split_system(ctr.system, set())
     with pytest.raises(ModelError):
         split_system(ctr.system, {"nope"})
+
+
+def test_event_groups_are_one_object_per_label_set(ctr, monkeypatch):
+    sys = ctr.system
+    helpful = sys.choice(frozenset({"done"}))
+    assert helpful is sys.choice(frozenset(["done"]))
+    assert helpful.options == (ctr.done,)
+    assert split_system(sys, ["done"])[0] is helpful
+    assert sys.choice(frozenset({"done", "inc"})).options == (ctr.inc, ctr.done)
+    # WF1 and the fair-loop self-check of check_ensures share the helpful
+    # choice, so its guard is computed once: grd is the complement of
+    # str(helpful)(empty), the only liberal application at the empty set
+    calls = []
+    real = commands.liberal_apply
+    monkeypatch.setattr(commands, "liberal_apply", lambda c, r: calls.append((c, r)) or real(c, r))
+    assert check_wf1(sys, ctr.prop).passed
+    guard, pre = grd_of(helpful), pre_of(helpful)
+    assert check_ensures(sys, ctr.prop).passed
+    assert grd_of(helpful) is guard and pre_of(helpful) is pre
+    assert sum(1 for c, r in calls if c is helpful and r.is_empty()) == 1
 
 
 def test_wf0_fixture_pass_and_vacuous(ctr):

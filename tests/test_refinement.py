@@ -272,7 +272,7 @@ def test_partial_correctness_on_concrete_loop(ctr):
         ens = ctr.prop
         helpful, rest, new = pair.groups(ens)
         p2, q2 = pair.concrete_of(ens.p), pair.concrete_of(ens.q)
-        loop = FairLoop(q2, helpful, Choice(rest, new))
+        loop = FairLoop(q2, helpful, Choice(rest.space, (rest, new)))
         assert (p2 | q2).is_subset(loop_liberal(loop, q2))
 
 
@@ -314,7 +314,7 @@ def test_generated_split_refinements_preserve_ensures():
         assert semantic_leadsto(pair.concrete, p2, q2).holds
         # partial correctness of the concrete fair iteration
         helpful2, rest2, new2 = pair.groups(prop)
-        loop = FairLoop(q2, helpful2, Choice(rest2, new2))
+        loop = FairLoop(q2, helpful2, Choice(rest2.space, (rest2, new2)))
         assert (p2 | q2).is_subset(loop_liberal(loop, q2))
         kept += 1
     assert kept >= 12
