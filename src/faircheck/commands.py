@@ -22,7 +22,6 @@ the liberal semantics of plain choice but has a weaker termination demand.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import wraps
 from typing import Any, Callable, TypeVar
@@ -260,6 +259,11 @@ def transition_relation(c: Command) -> StateRelation:
 # ---------------------------------------------------------------------------
 
 
+# The exact health checks enumerate every subset of a space, so they take
+# spaces of at most this many states.
+MAX_CHECK_STATES = 12
+
+
 @dataclass(frozen=True)
 class CheckResult:
     ok: bool
@@ -272,37 +276,30 @@ class CheckResult:
 def conjunctivity_check(c: Command) -> CheckResult:
     """Does str(c) distribute over binary intersection?
 
-    Up to 12 states this is decided exactly by the equivalent meet
-    decomposition str(c)(r) = str(c)(u) & AND of str(c)(u - {t}) for t
-    outside r; on violation a failing pair is peeled out of the chain of
-    co-singleton meets that builds the failing r. Larger spaces are only
-    probed, on 16 pairs drawn from a fixed seed.
+    Decided exactly by the equivalent meet decomposition str(c)(r) =
+    str(c)(u) & AND of str(c)(u - {t}) for t outside r, over every subset r;
+    on violation a failing pair is peeled out of the chain of co-singleton
+    meets that builds the failing r. Requires size <= MAX_CHECK_STATES.
     """
     space = c.space
     n = space.size
+    if n > MAX_CHECK_STATES:
+        raise ValueError(f"conjunctivity check needs size <= {MAX_CHECK_STATES}, got {n}")
     apply = lambda s: str_apply(c, s)
-    if n <= 12:
-        cols = _co_singleton_masks(c)
-        # meets[m] = str(c)(u) & AND of cols[t] for t outside m, read off
-        # the mask that adds m's lowest missing state
-        meets = [apply(space.universe()).mask] * (1 << n)
-        for m in range((1 << n) - 2, -1, -1):
-            low = ~m & (m + 1)
-            meets[m] = meets[m | low] & cols[low.bit_length() - 1]
-        for r in space.all_subsets():
-            if apply(r).mask != meets[r.mask]:
-                acc = space.universe()
-                for t in r.complement():
-                    nxt = space.singleton(t).complement()
-                    if apply(acc & nxt) != apply(acc) & apply(nxt):
-                        return CheckResult(False, (acc, nxt))
-                    acc = acc & nxt
-                return CheckResult(False, (acc, acc))  # unreachable when r truly fails
-        return CheckResult(True)
-    rng = random.Random(0)
-    for _ in range(16):
-        a = StateSet(space, rng.getrandbits(n))
-        b = StateSet(space, rng.getrandbits(n))
-        if apply(a & b) != apply(a) & apply(b):
-            return CheckResult(False, (a, b))
+    cols = _co_singleton_masks(c)
+    # meets[m] = str(c)(u) & AND of cols[t] for t outside m, read off the
+    # mask that adds m's lowest missing state
+    meets = [apply(space.universe()).mask] * (1 << n)
+    for m in range((1 << n) - 2, -1, -1):
+        low = ~m & (m + 1)
+        meets[m] = meets[m | low] & cols[low.bit_length() - 1]
+    for r in space.all_subsets():
+        if apply(r).mask != meets[r.mask]:
+            acc = space.universe()
+            for t in r.complement():
+                nxt = space.singleton(t).complement()
+                if apply(acc & nxt) != apply(acc) & apply(nxt):
+                    return CheckResult(False, (acc, nxt))
+                acc = acc & nxt
+            return CheckResult(False, (acc, acc))  # unreachable when r truly fails
     return CheckResult(True)

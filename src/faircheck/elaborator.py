@@ -1,11 +1,15 @@
 """Elaboration from parsed documents to finite semantic objects.
 
-Variable valuations are enumerated lexicographically in declaration order,
-restricted to the invariant; that restricted enumeration is the state
-space, so invariant preservation by every event is checked here once and
-the checkers downstream never see an invariant-violating state. Concrete
-spaces are carved out by the gluing predicate: a concrete valuation exists
-iff it glues to at least one abstract state.
+Every static rule of the text is checked once, before any state is
+enumerated: names read are in scope, update lists assign distinct state
+variables (or are one "any" block with a fresh binder), declarations are
+unique and refer to declared things. Diagnostics name the construct: "s.e"
+an event, "s" a block, "P" a property, "main.s1" a proof step. After that,
+the loops over states only evaluate. One function elaborates each block:
+valuations are enumerated in declaration order and carved by the invariant
+(a system) or by being glued to an abstract state (a refinement), so every
+event is checked here to stay inside the space and the checkers downstream
+never see an invariant-violating or unglued state.
 """
 
 from __future__ import annotations
@@ -15,14 +19,13 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .commands import Command, Guard, Prim, conjunctivity_check
+from .commands import MAX_CHECK_STATES, Command, Guard, Prim, conjunctivity_check
 from .obligations import EngineDefect, EnsuresProperty, EventSystem, ModelError
 from .parser import (
     EBin,
     EInt,
     ENeg,
     EVar,
-    EventDecl,
     Expr,
     ModelDocument,
     PAnd,
@@ -32,12 +35,10 @@ from .parser import (
     PNot,
     POr,
     Pred,
-    PropertyDecl,
     RefinementDecl,
     SystemDecl,
     UAny,
     UAssign,
-    UChoose,
     Update,
     VarDecl,
 )
@@ -56,37 +57,29 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def eval_expr(e: Expr, env: Mapping[str, int]) -> int:
+    """The value of e; every name it reads must be bound in env, which the
+    static checks guarantee for elaborated text."""
     if isinstance(e, EInt):
         return e.value
     if isinstance(e, EVar):
-        if e.name not in env:
-            raise ElaborationError(f"unknown variable {e.name!r}")
         return env[e.name]
     if isinstance(e, ENeg):
         return -eval_expr(e.inner, env)
     if isinstance(e, EBin):
-        # The parser builds a chain a + b - c as a left-deep tree; walk its
-        # left spine with a loop, so a long chain does not recurse once per
-        # operator. Only parentheses and negation nest, and the parser
-        # bounds those.
-        spine = []
-        while isinstance(e, EBin):
-            spine.append(e)
-            e = e.left
-        value = eval_expr(e, env)
-        for node in reversed(spine):
-            value = _ARITH[node.op](value, eval_expr(node.right, env))
+        value = eval_expr(e.first, env)
+        for op, operand in e.rest:
+            value = _ARITH[op](value, eval_expr(operand, env))
         return value
     raise TypeError(e)
 
 
 _CMP = {
-    "=": lambda a, b: a == b,
-    "/=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "/=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -98,19 +91,12 @@ def eval_pred(p: Pred, env: Mapping[str, int]) -> bool:
     if isinstance(p, PNot):
         return not eval_pred(p.inner, env)
     if isinstance(p, (PAnd, POr)):
-        # a left-deep chain of one connective, walked like eval_expr's;
         # "and" stops at the first false operand, "or" at the first true one
-        kind = type(p)
-        operands = [p.right]
-        p = p.left
-        while type(p) is kind:
-            operands.append(p.right)
-            p = p.left
-        stop = kind is POr
-        value = eval_pred(p, env)
-        while operands and value != stop:
-            value = eval_pred(operands.pop(), env)
-        return value
+        stop = type(p) is POr
+        for q in p.operands:
+            if eval_pred(q, env) == stop:
+                return stop
+        return not stop
     if isinstance(p, PImp):
         return (not eval_pred(p.left, env)) or eval_pred(p.right, env)
     raise TypeError(p)
@@ -192,298 +178,310 @@ class ElaboratedModel:
         raise ModelError(f"unknown system or refinement {source!r}")
 
 
-def _enumerate_valuations(
-    variables: Iterable[VarDecl], max_states: int, context: str
-) -> list[dict[str, int]]:
-    variables = list(variables)
-    if not variables:
-        raise ElaborationError(f"{context}: no variables declared")
+# ---------------------------------------------------------------------------
+# Static rules, checked once before any state is enumerated
+# ---------------------------------------------------------------------------
+
+
+def _check_unique(names: Iterable[str], message: str) -> None:
+    """Raise "message 'name'" for the first name that repeats."""
     seen: set[str] = set()
-    total = 1
-    for v in variables:
-        if v.name in seen:
-            raise ElaborationError(f"{context}: duplicate variable {v.name!r}")
-        seen.add(v.name)
-        if v.hi < v.lo:
-            raise ElaborationError(f"{context}: empty range for variable {v.name!r}")
-        total *= v.hi - v.lo + 1
-        if total > max_states:
-            raise ElaborationError(
-                f"{context}: state space exceeds the {max_states}-state bound"
-            )
-    names = [v.name for v in variables]
-    ranges = [range(v.lo, v.hi + 1) for v in variables]
-    return [dict(zip(names, combo)) for combo in itertools.product(*ranges)]
+    for name in names:
+        if name in seen:
+            raise ElaborationError(f"{message} {name!r}")
+        seen.add(name)
 
 
-def _successor_bindings(
-    updates: tuple[Update, ...], env: dict[str, int], context: str, budget: list[int]
-) -> list[dict[str, int]]:
-    """All post-states of one event from one pre-state; right-hand sides all
-    read the pre-state (simultaneous update). budget is [spent, bound] of the
-    (state, binder value) pairs the event's any-blocks enumerate."""
+def _check_reads(scope: frozenset[str], context: str, *nodes: Pred | Expr) -> None:
+    """Every name the nodes read is in scope; names are visited in text order."""
+    stack = list(reversed(nodes))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, EVar):
+            if node.name not in scope:
+                raise ElaborationError(f"{context}: unknown variable {node.name!r}")
+        elif isinstance(node, (PAnd, POr)):
+            stack.extend(reversed(node.operands))
+        elif isinstance(node, EBin):
+            stack.extend(operand for _, operand in reversed(node.rest))
+            stack.append(node.first)
+        elif isinstance(node, (PCmp, PImp)):
+            stack += (node.right, node.left)
+        elif isinstance(node, (ENeg, PNot)):
+            stack.append(node.inner)
+
+
+def _check_updates(
+    updates: tuple[Update, ...], state: frozenset[str], scope: frozenset[str], context: str
+) -> None:
+    """An any block is its list's only update and binds a fresh name; every
+    other update assigns a distinct state variable of the block. scope is
+    the state variables plus the enclosing any-binders."""
     if any(isinstance(u, UAny) for u in updates):
         if len(updates) != 1:
             raise ElaborationError(f"{context}: an any-update must be the only update")
         u = updates[0]
-        assert isinstance(u, UAny)
-        if u.var in env:
+        if u.var in scope:
             raise ElaborationError(
                 f"{context}: any-binder {u.var!r} shadows an existing variable"
             )
+        inner = scope | {u.var}
+        _check_reads(inner, context, u.where)
+        _check_updates(u.updates, state, inner, context)
+        return
+    assigned: set[str] = set()
+    for u in updates:
+        _check_reads(scope, context, *((u.value,) if isinstance(u, UAssign) else u.options))
+        if u.var in assigned:
+            raise ElaborationError(f"{context}: variable {u.var!r} updated twice")
+        if u.var not in state:
+            kind = "any-binder" if u.var in scope else "unknown variable"
+            raise ElaborationError(f"{context}: updates {kind} {u.var!r}")
+        assigned.add(u.var)
+
+
+def _check_block(
+    decl: SystemDecl | RefinementDecl, abstract: frozenset[str]
+) -> frozenset[str]:
+    """The static rules of one block; returns its variable names. abstract
+    holds the refined system's variable names, empty for a system."""
+    state = frozenset(v.name for v in decl.variables)
+    if state & abstract:
+        raise ElaborationError(
+            f"{decl.name}: concrete variables shadow abstract ones: {sorted(state & abstract)}"
+        )
+    if not decl.variables:
+        raise ElaborationError(f"{decl.name}: no variables declared")
+    _check_unique((v.name for v in decl.variables), f"{decl.name}: duplicate variable")
+    for v in decl.variables:
+        if v.hi < v.lo:
+            raise ElaborationError(f"{decl.name}: empty range for variable {v.name!r}")
+    if isinstance(decl, RefinementDecl):
+        if not decl.gluings:
+            raise ElaborationError(f"{decl.name}: a refinement needs a gluing predicate")
+        _check_reads(state | abstract, decl.name, *decl.gluings)
+    else:
+        _check_reads(state, decl.name, *decl.invariants)
+    if not decl.events:
+        raise ElaborationError(f"{decl.name}: no events declared")
+    _check_unique((e.name for e in decl.events), f"{decl.name}: duplicate event")
+    for event in decl.events:
+        context = f"{decl.name}.{event.name}"
+        _check_reads(state, context, event.guard)
+        _check_updates(event.updates, state, state, context)
+    return state
+
+
+def _check_document(doc: ModelDocument) -> None:
+    """Every static rule of the document, in declaration order."""
+    blocks = (*doc.systems, *doc.refinements)
+    _check_unique((d.name for d in doc.systems), "duplicate system")
+    _check_unique((d.name for d in blocks), "duplicate declaration")
+    systems = {d.name: _check_block(d, frozenset()) for d in doc.systems}  # their variables
+    scopes = dict(systems)
+    for rdecl in doc.refinements:
+        if rdecl.refined not in systems:
+            raise ElaborationError(f"{rdecl.name}: refines unknown system {rdecl.refined!r}")
+        scopes[rdecl.name] = _check_block(rdecl, systems[rdecl.refined])
+    events = {d.name: {e.name for e in d.events} for d in blocks}
+
+    _check_unique((p.name for p in doc.properties), "duplicate property")
+    properties = {p.name: p for p in doc.properties}
+    for pdecl in doc.properties:
+        if pdecl.source not in scopes:
+            raise ElaborationError(f"{pdecl.name}: unknown owner {pdecl.source!r}")
+        _check_reads(scopes[pdecl.source], pdecl.name, pdecl.frm, pdecl.to)
+        unknown = set(pdecl.helpful) - events[pdecl.source]
+        if unknown:
+            raise ElaborationError(
+                f"{pdecl.name}: helpful events not in {pdecl.source!r}: {sorted(unknown)}"
+            )
+
+    _check_unique((p.name for p in doc.proofs), "duplicate proof")
+    for prdecl in doc.proofs:
+        goal = properties.get(prdecl.goal)
+        if goal is None:
+            raise ElaborationError(f"{prdecl.name}: goal {prdecl.goal!r} is not a property")
+        if goal.kind != "leadsto":
+            raise ElaborationError(
+                f"{prdecl.name}: goal {prdecl.goal!r} is not a leadsto property"
+            )
+        _check_unique((step.name for step in prdecl.steps), f"{prdecl.name}: duplicate step name")
+        for step in prdecl.steps:
+            context = f"{prdecl.name}.{step.name}"
+            if step.frm is None or step.to is None:
+                if step.rule == "brl" and not step.refs:
+                    raise ElaborationError(
+                        f"{context}: brl needs a property name or an inline conclusion"
+                    )
+            else:
+                _check_reads(scopes[goal.source], context, step.frm, step.to)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation over the states
+# ---------------------------------------------------------------------------
+
+
+def _successor_bindings(
+    updates: tuple[Update, ...],
+    env: dict[str, int],
+    names: list[str],
+    context: str,
+    budget: list[int],
+) -> list[tuple[int, ...]]:
+    """All post-states of one event from one pre-state, as value tuples in
+    declaration order; right-hand sides all read the pre-state (simultaneous
+    update). budget is [spent, bound] of the (state, binder value) pairs the
+    event's any-blocks enumerate."""
+    u = updates[0]
+    if isinstance(u, UAny):  # the static checks made it the only update
         budget[0] += max(u.hi - u.lo + 1, 0)
         if budget[0] > budget[1]:
             raise ElaborationError(
                 f"{context}: any-blocks enumerate more (state, value) pairs "
                 f"than the {budget[1]}-state bound"
             )
-        out: list[dict[str, int]] = []
+        out: list[tuple[int, ...]] = []
         for z in range(u.lo, u.hi + 1):
-            bound = dict(env)
-            bound[u.var] = z
+            bound = {**env, u.var: z}
             if eval_pred(u.where, bound):
-                for succ in _successor_bindings(u.updates, bound, context, budget):
-                    succ.pop(u.var, None)
-                    out.append(succ)
+                out += _successor_bindings(u.updates, bound, names, context, budget)
         return out
-    assigned: list[tuple[str, list[int]]] = []
-    seen: set[str] = set()
-    for u in updates:
-        if isinstance(u, UAssign):
-            var, options = u.var, [eval_expr(u.value, env)]
-        elif isinstance(u, UChoose):
-            var, options = u.var, [eval_expr(o, env) for o in u.options]
-        else:
-            raise TypeError(u)
-        if var in seen:
-            raise ElaborationError(f"{context}: variable {var!r} updated twice")
-        seen.add(var)
-        assigned.append((var, options))
+    targets = [u.var for u in updates]
+    options = [
+        [eval_expr(u.value, env)] if isinstance(u, UAssign)
+        else [eval_expr(o, env) for o in u.options]
+        for u in updates
+    ]
     out = []
-    for combo in itertools.product(*(options for _, options in assigned)):
-        succ = dict(env)
-        for (var, _), value in zip(assigned, combo):
-            succ[var] = value
-        out.append(succ)
+    for combo in itertools.product(*options):
+        post = dict(env)
+        post.update(zip(targets, combo))
+        out.append(tuple(post[v] for v in names))
     return out
 
 
-def _elaborate_events(
-    name: str,
-    events: tuple[EventDecl, ...],
-    space: StateSpace,
-    valuations: list[dict[str, int]],
-    index_of: dict[tuple[int, ...], int],
-    var_names: list[str],
-    membership_error: str,
+def _elaborate_block(
+    decl: SystemDecl | RefinementDecl,
+    abstract: ElaboratedSystem | None,
     max_states: int,
-) -> dict[str, Command]:
-    if not events:
-        raise ElaborationError(f"{name}: no events declared")
-    out: dict[str, Command] = {}
-    for decl in events:
-        if decl.name in out:
-            raise ElaborationError(f"{name}: duplicate event {decl.name!r}")
-        context = f"{name}.{decl.name}"
+) -> ElaboratedSystem | ElaboratedRefinement:
+    """The states, events and (for a refinement, whose abstract system is
+    given) the gluing relation of one block that passed the static checks."""
+    total = 1
+    for v in decl.variables:
+        total *= v.hi - v.lo + 1
+        if total > max_states:
+            raise ElaborationError(f"{decl.name}: state space exceeds the {max_states}-state bound")
+    names = [v.name for v in decl.variables]
+    ranges = [range(v.lo, v.hi + 1) for v in decl.variables]
+    all_vals = [dict(zip(names, combo)) for combo in itertools.product(*ranges)]
+    if abstract is None:
+        valuations = [
+            val for val in all_vals if all(eval_pred(inv, val) for inv in decl.invariants)
+        ]
+        if not valuations:
+            raise ElaborationError(f"{decl.name}: the invariant is unsatisfiable")
+        outside = "violates the invariant"
+    else:
+        joint = len(all_vals) * abstract.space.size
+        if joint > max_states:
+            raise ElaborationError(
+                f"{decl.name}: the gluing evaluates {joint} (concrete, abstract) pairs, "
+                f"more than the {max_states}-state bound"
+            )
+        valuations, gluing_pairs = [], []
+        for yval in all_vals:
+            partners = [
+                x_index
+                for x_index, xval in enumerate(abstract.valuations)
+                if all(eval_pred(g, {**xval, **yval}) for g in decl.gluings)
+            ]
+            if partners:
+                gluing_pairs += [(len(valuations), x_index) for x_index in partners]
+                valuations.append(yval)
+        if not valuations:
+            raise ElaborationError(f"{decl.name}: gluing not total: no concrete state is glued")
+        outside = "glues to no abstract state (gluing not total there)"
+
+    space = StateSpace(decl.name, len(valuations), tuple(map(_binding_label, valuations)))
+    # a valuation's values are in declaration order, like a successor key
+    index_of = {tuple(val.values()): i for i, val in enumerate(valuations)}
+    events: dict[str, Command] = {}
+    for event in decl.events:
+        context = f"{decl.name}.{event.name}"
         guard_members = []
         pairs: list[tuple[int, int]] = []
         budget = [0, max_states]
         for i, val in enumerate(valuations):
-            try:
-                enabled = eval_pred(decl.guard, val)
-            except ElaborationError as err:
-                raise ElaborationError(f"{context}: {err}") from err
-            if not enabled:
+            if not eval_pred(event.guard, val):
                 continue
             guard_members.append(i)
-            for succ in _successor_bindings(decl.updates, dict(val), context, budget):
-                extraneous = set(succ) - set(var_names)
-                if extraneous:
-                    raise ElaborationError(
-                        f"{context}: updates unknown variable {sorted(extraneous)[0]!r}"
-                    )
-                key = tuple(succ[v] for v in var_names)
-                if key not in index_of:
+            for key in _successor_bindings(event.updates, val, names, context, budget):
+                j = index_of.get(key)
+                if j is None:
                     raise ElaborationError(
                         f"{context}: from state {_binding_label(val)} the event reaches "
-                        f"{_binding_label(succ)}, which {membership_error}"
+                        f"{_binding_label(dict(zip(names, key)))}, which {outside}"
                     )
-                pairs.append((i, index_of[key]))
-        guard = space.subset(guard_members)
-        command = Guard(guard, Prim(StateRelation(space, space, pairs)))
-        if not conjunctivity_check(command).ok:
+                pairs.append((i, j))
+        command = Guard(space.subset(guard_members), Prim(StateRelation(space, space, pairs)))
+        if space.size <= MAX_CHECK_STATES and not conjunctivity_check(command).ok:
             raise EngineDefect(f"{context}: elaborated event is not conjunctive")
-        out[decl.name] = command
-    return out
+        events[event.name] = command
 
-
-def _elaborate_system(decl: SystemDecl, max_states: int) -> ElaboratedSystem:
-    all_vals = _enumerate_valuations(decl.variables, max_states, decl.name)
-    var_names = [v.name for v in decl.variables]
-    invariant = lambda val: all(eval_pred(inv, val) for inv in decl.invariants)
-    valuations = [val for val in all_vals if invariant(val)]
-    if not valuations:
-        raise ElaborationError(f"{decl.name}: the invariant is unsatisfiable")
-    labels = tuple(_binding_label(val) for val in valuations)
-    space = StateSpace(decl.name, len(valuations), labels)
-    index_of = {
-        tuple(val[v] for v in var_names): i for i, val in enumerate(valuations)
-    }
-    events = _elaborate_events(
-        decl.name, decl.events, space, valuations, index_of, var_names,
-        "violates the invariant", max_states,
-    )
     try:
         system = EventSystem(space, events)
+        elaborated = ElaboratedSystem(decl.name, space, decl.variables, tuple(valuations), system)
+        if abstract is None:
+            return elaborated
+        gluing = StateRelation(space, abstract.space, gluing_pairs)
+        refines = {e.name: (None if e.refines == "skip" else e.refines) for e in decl.events}
+        pair = RefinementPair(abstract.system, system, gluing, refines)
     except ModelError as err:
         raise ElaborationError(f"{decl.name}: {err}") from err
-    return ElaboratedSystem(decl.name, space, decl.variables, tuple(valuations), system)
-
-
-def _elaborate_refinement(
-    decl: RefinementDecl, abstract: ElaboratedSystem, max_states: int
-) -> ElaboratedRefinement:
-    clash = {v.name for v in decl.variables} & {v.name for v in abstract.variables}
-    if clash:
-        raise ElaborationError(
-            f"{decl.name}: concrete variables shadow abstract ones: {sorted(clash)}"
-        )
-    all_vals = _enumerate_valuations(decl.variables, max_states, decl.name)
-    var_names = [v.name for v in decl.variables]
-    if not decl.gluings:
-        raise ElaborationError(f"{decl.name}: a refinement needs a gluing predicate")
-    joint = len(all_vals) * abstract.space.size
-    if joint > max_states:
-        raise ElaborationError(
-            f"{decl.name}: the gluing evaluates {joint} (concrete, abstract) pairs, "
-            f"more than the {max_states}-state bound"
-        )
-
-    glued: list[tuple[dict[str, int], list[int]]] = []
-    for yval in all_vals:
-        partners = []
-        for x_index, xval in enumerate(abstract.valuations):
-            joint = {**xval, **yval}
-            if all(eval_pred(g, joint) for g in decl.gluings):
-                partners.append(x_index)
-        if partners:
-            glued.append((yval, partners))
-    if not glued:
-        raise ElaborationError(f"{decl.name}: gluing not total: no concrete state is glued")
-
-    valuations = [yval for yval, _ in glued]
-    labels = tuple(_binding_label(val) for val in valuations)
-    space = StateSpace(decl.name, len(valuations), labels)
-    index_of = {
-        tuple(val[v] for v in var_names): i for i, val in enumerate(valuations)
-    }
-    gluing_pairs = [
-        (y_index, x_index)
-        for y_index, (_, partners) in enumerate(glued)
-        for x_index in partners
-    ]
-    gluing = StateRelation(space, abstract.space, gluing_pairs)
-
-    events = _elaborate_events(
-        decl.name, decl.events, space, valuations, index_of, var_names,
-        "glues to no abstract state (gluing not total there)", max_states,
-    )
-    try:
-        concrete_system = EventSystem(space, events)
-        refines = {
-            e.name: (None if e.refines == "skip" else e.refines) for e in decl.events
-        }
-        pair = RefinementPair(abstract.system, concrete_system, gluing, refines)
-    except ModelError as err:
-        raise ElaborationError(f"{decl.name}: {err}") from err
-    concrete = ElaboratedSystem(
-        decl.name, space, decl.variables, tuple(valuations), concrete_system
-    )
-    return ElaboratedRefinement(decl.name, abstract.name, concrete, pair)
-
-
-def _elaborate_property(
-    decl: PropertyDecl, owner: ElaboratedSystem
-) -> ElaboratedProperty:
-    p = owner.set_of(decl.frm)
-    q = owner.set_of(decl.to)
-    if decl.kind == "ensures":
-        unknown = set(decl.helpful) - set(owner.system.labels)
-        if unknown:
-            raise ElaborationError(
-                f"{decl.name}: helpful events not in {owner.name!r}: {sorted(unknown)}"
-            )
-    return ElaboratedProperty(decl.name, decl.kind, owner.name, decl.helpful, p, q)
+    return ElaboratedRefinement(decl.name, abstract.name, elaborated, pair)
 
 
 def elaborate(doc: ModelDocument, max_states: int = DEFAULT_MAX_STATES) -> ElaboratedModel:
-    """Build spaces, systems, refinement pairs, properties and scripts."""
-    systems: dict[str, ElaboratedSystem] = {}
-    refinements: dict[str, ElaboratedRefinement] = {}
-    for sdecl in doc.systems:
-        if sdecl.name in systems:
-            raise ElaborationError(f"duplicate system {sdecl.name!r}")
-        systems[sdecl.name] = _elaborate_system(sdecl, max_states)
-    for rdecl in doc.refinements:
-        if rdecl.name in systems or rdecl.name in refinements:
-            raise ElaborationError(f"duplicate declaration {rdecl.name!r}")
-        if rdecl.refined not in systems:
-            raise ElaborationError(
-                f"{rdecl.name}: refines unknown system {rdecl.refined!r}"
-            )
-        refinements[rdecl.name] = _elaborate_refinement(
-            rdecl, systems[rdecl.refined], max_states
-        )
-
+    """Check the static rules, then build spaces, systems, refinement pairs,
+    properties and scripts."""
+    _check_document(doc)
+    systems = {decl.name: _elaborate_block(decl, None, max_states) for decl in doc.systems}
+    refinements = {
+        decl.name: _elaborate_block(decl, systems[decl.refined], max_states)
+        for decl in doc.refinements
+    }
     owners = dict(systems)
     owners.update({name: ref.concrete for name, ref in refinements.items()})
 
-    properties: dict[str, ElaboratedProperty] = {}
-    for pdecl in doc.properties:
-        if pdecl.name in properties:
-            raise ElaborationError(f"duplicate property {pdecl.name!r}")
-        if pdecl.source not in owners:
-            raise ElaborationError(f"{pdecl.name}: unknown owner {pdecl.source!r}")
-        properties[pdecl.name] = _elaborate_property(pdecl, owners[pdecl.source])
+    properties = {
+        pdecl.name: ElaboratedProperty(
+            pdecl.name, pdecl.kind, pdecl.source, pdecl.helpful,
+            owners[pdecl.source].set_of(pdecl.frm), owners[pdecl.source].set_of(pdecl.to),
+        )
+        for pdecl in doc.properties
+    }
 
     scripts: dict[str, ElaboratedScript] = {}
     for prdecl in doc.proofs:
-        if prdecl.name in scripts:
-            raise ElaborationError(f"duplicate proof {prdecl.name!r}")
-        if prdecl.goal not in properties:
-            raise ElaborationError(f"{prdecl.name}: goal {prdecl.goal!r} is not a property")
-        goal_prop = properties[prdecl.goal]
-        if goal_prop.kind != "leadsto":
-            raise ElaborationError(
-                f"{prdecl.name}: goal {prdecl.goal!r} is not a leadsto property"
-            )
-        owner = owners[goal_prop.source]
+        source = properties[prdecl.goal].source
+        owner = owners[source]
         extra: dict[str, EnsuresProperty] = {}
         steps = []
-        for sdecl2 in prdecl.steps:
+        for sdecl in prdecl.steps:
             conclusion = None
-            if sdecl2.frm is not None and sdecl2.to is not None:
-                conclusion = LeadsTo(
-                    owner.set_of(sdecl2.frm), owner.set_of(sdecl2.to), sdecl2.name
-                )
-            refs = sdecl2.refs
-            if sdecl2.rule == "brl" and not refs:
-                if conclusion is None:
-                    raise ElaborationError(
-                        f"{prdecl.name}.{sdecl2.name}: brl needs a property name "
-                        "or an inline conclusion"
-                    )
-                gen = f"{prdecl.name}:{sdecl2.name}"
+            if sdecl.frm is not None and sdecl.to is not None:
+                conclusion = LeadsTo(owner.set_of(sdecl.frm), owner.set_of(sdecl.to), sdecl.name)
+            refs = sdecl.refs
+            if sdecl.rule == "brl" and not refs:  # an inline conclusion, by the static checks
+                gen = f"{prdecl.name}:{sdecl.name}"
                 extra[gen] = trivial_ensures(owner.system, gen, conclusion.lhs, conclusion.rhs)
                 refs = (gen,)
-            steps.append(ProofStep(sdecl2.name, sdecl2.rule, refs, conclusion))
-        try:
-            script = ProofScript(prdecl.name, tuple(steps))
-        except ValueError as err:  # two steps of one name
-            raise ElaborationError(f"{prdecl.name}: {err}") from err
-        scripts[prdecl.name] = ElaboratedScript(
-            prdecl.name, prdecl.goal, goal_prop.source, script, extra
-        )
+            steps.append(ProofStep(sdecl.name, sdecl.rule, refs, conclusion))
+        script = ProofScript(prdecl.name, tuple(steps))
+        scripts[prdecl.name] = ElaboratedScript(prdecl.name, prdecl.goal, source, script, extra)
 
     state_count = sum(s.space.size for s in owners.values())
     return ElaboratedModel(systems, refinements, properties, scripts, state_count)

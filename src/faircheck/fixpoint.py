@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .commands import CheckResult
+from .commands import MAX_CHECK_STATES, CheckResult
 from .sets import SpaceMismatchError, StateSet, StateSpace
 
 
@@ -76,12 +76,12 @@ def monotone_check(f: SetFunction) -> CheckResult:
 
     Every pair s <= t is joined by a chain of pairs that differ in one
     state, so checking those pairs, t - {i} <= t, decides all of them.
-    Requires size <= 12.
+    Requires size <= MAX_CHECK_STATES.
     """
     space = f.space
     n = space.size
-    if n > 12:
-        raise ValueError(f"monotonicity check needs size <= 12, got {n}")
+    if n > MAX_CHECK_STATES:
+        raise ValueError(f"monotonicity check needs size <= {MAX_CHECK_STATES}, got {n}")
     table = [f(s).mask for s in space.all_subsets()]
     for t in space.all_subsets():
         for i in t:

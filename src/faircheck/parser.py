@@ -34,15 +34,18 @@ Grammar (informal EBNF):
 
 Integer literals are ASCII digits. Line comments start with //. Updates
 within one event act simultaneously (all right-hand sides read the
-pre-state); an "any" block must be the only update of its event. Predicates,
-expressions and updates nest at most MAX_NESTING levels deep (each
-parenthesis, "not", "=>", unary minus and "any" block is one level); deeper
-input is a parse error.
+pre-state); an "any" block must be the only update of its event. A chain of
+"and", "or", "+"/"-" or "*" is one flat node (PAnd, POr, EBin), so only
+parentheses, "not", "=>", unary minus and "any" blocks nest, each one level,
+at most MAX_NESTING deep; deeper input is a parse error. The elaborator
+checks which names a construct reads and assigns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
+
 KEYWORDS = {
     "system", "refinement", "property", "proof", "var", "invariant", "event",
     "when", "then", "end", "refines", "gluing", "ensures", "helpful",
@@ -182,9 +185,11 @@ class ENeg(Expr):
 
 @dataclass(frozen=True)
 class EBin(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    """A chain first op1 e1 op2 e2 ... of one precedence level ("+"/"-" or
+    "*"), folded left to right; rest holds the (op, operand) pairs."""
+
+    first: Expr
+    rest: tuple[tuple[str, Expr], ...]
 
 
 @dataclass(frozen=True)
@@ -211,14 +216,12 @@ class PNot(Pred):
 
 @dataclass(frozen=True)
 class PAnd(Pred):
-    left: Pred
-    right: Pred
+    operands: tuple[Pred, ...]  # two or more
 
 
 @dataclass(frozen=True)
 class POr(Pred):
-    left: Pred
-    right: Pred
+    operands: tuple[Pred, ...]  # two or more
 
 
 @dataclass(frozen=True)
@@ -414,18 +417,17 @@ class _Parser:
         return left
 
     def disjunction(self) -> Pred:
-        left = self.conjunction()
-        while self.at("or"):
-            self.advance()
-            left = POr(left, self.conjunction())
-        return left
+        return self.connective(self.conjunction, "or", POr)
 
     def conjunction(self) -> Pred:
-        left = self.negation()
-        while self.at("and"):
+        return self.connective(self.negation, "and", PAnd)
+
+    def connective(self, operand: Callable[[], Pred], word: str, node: type) -> Pred:
+        operands = [operand()]
+        while self.at(word):
             self.advance()
-            left = PAnd(left, self.negation())
-        return left
+            operands.append(operand())
+        return operands[0] if len(operands) == 1 else node(tuple(operands))
 
     def negation(self) -> Pred:
         if self.at("not"):
@@ -475,18 +477,17 @@ class _Parser:
         raise ParseError(tok.span, "expected a comparison operator")
 
     def expr(self) -> Expr:
-        left = self.term()
-        while self.at("+", "-"):
-            op = self.advance().kind
-            left = EBin(op, left, self.term())
-        return left
+        return self.chain(self.term, ("+", "-"))
 
     def term(self) -> Expr:
-        left = self.factor()
-        while self.at("*"):
-            self.advance()
-            left = EBin("*", left, self.factor())
-        return left
+        return self.chain(self.factor, ("*",))
+
+    def chain(self, operand: Callable[[], Expr], ops: tuple[str, ...]) -> Expr:
+        first = operand()
+        rest = []
+        while self.at(*ops):
+            rest.append((self.advance().kind, operand()))
+        return EBin(first, tuple(rest)) if rest else first
 
     def factor(self) -> Expr:
         tok = self.peek()

@@ -195,7 +195,9 @@ def structural_wp(c: Command) -> Callable[[StateSet], StateSet]:
         pairs = c.rel.pairs
 
         def prim(r: StateSet) -> StateSet:
-            escapes = {s for s, t in pairs if not r.mask >> t & 1}
+            bits = _bits(r.mask)
+            n = len(bits)
+            escapes = {s for s, t in pairs if t >= n or bits[t] == "0"}
             return space.subset(x for x in range(space.size) if x not in escapes)
 
         return prim
@@ -584,21 +586,34 @@ def kernel_relations(rng: random.Random) -> list[tuple[str, StateRelation]]:
     return out
 
 
-def _load_workloads():
-    name = "perfbench_workloads"
+def _load_perfbench(name: str, relative: str):
+    """Import a perfbench module by file path, so perfbench needs no package
+    or path setup. reference.py imports the workloads module by the name
+    "workloads", so that is the name it is registered under."""
     if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / relative)
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
     return sys.modules[name]
 
 
+def load_workloads():
+    return _load_perfbench("workloads", "workloads.py")
+
+
+def load_reference():
+    """perfbench's engine-free reference: `reference_verdicts(model)` decides
+    every obligation of a `workloads.Model` by brute force."""
+    load_workloads()
+    return _load_perfbench("perfbench_reference", "tests/reference.py")
+
+
 def model_texts() -> list[tuple[str, str]]:
     """The fixtures under models/ and three smoke-size models of every
     benchmark workload, as (name, model-language text)."""
     texts = [(path.name, path.read_text()) for path in sorted((ROOT / "models").glob("*.fb"))]
-    workloads = _load_workloads()
+    workloads = load_workloads()
     for name, workload in sorted(workloads.WORKLOADS.items()):
         stream = iter(workloads.ModelStream(workload, 0, workload.smoke))
         texts.extend((f"{name}-{i}", next(stream).text()) for i in range(3))

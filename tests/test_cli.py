@@ -174,6 +174,63 @@ def test_undecodable_file_is_a_read_error(tmp_path, capsys):
     assert captured.err.startswith(f"cannot read {path}: 'utf-8' codec can't decode")
 
 
+STATIC_PROBE = """system s
+ var x : 0..2
+ {s}
+ event f when x = 0 then x := 1 end
+end
+refinement r refines s
+ var y : 0..2
+ gluing {r}
+ event f2 refines f when y = 0 then y := 1 end
+end
+property P leadsto from {p} to y = 1
+proof main goal P
+ step s1 brl from {step} to y = 1
+end
+"""
+STATIC_DEFAULTS = {"s": "invariant x < 3", "r": "y = x", "p": "y = 0", "step": "y = 0"}
+
+
+@pytest.mark.parametrize(
+    "part, text, diagnostic",
+    [
+        ("s", "event e when true then x := zz end", "s.e: unknown variable 'zz'"),
+        ("s", "event e when false then x := 1; x := 2 end", "s.e: variable 'x' updated twice"),
+        ("s", "event e when false then y := 1 end", "s.e: updates unknown variable 'y'"),
+        (
+            "s",
+            "event e when true then any z : 0..1 where true then z := 1 end end",
+            "s.e: updates any-binder 'z'",
+        ),
+        (
+            "s",
+            "event e when false then any z : 0..1 where z = w then x := z end end",
+            "s.e: unknown variable 'w'",
+        ),
+        ("p", "false and zz = 3", "P: unknown variable 'zz'"),
+        ("s", "invariant x < 3 or w = 1", "s: unknown variable 'w'"),
+        ("r", "y = x or w = 1", "r: unknown variable 'w'"),
+        ("step", "y = 0 or zz = 1", "main.s1: unknown variable 'zz'"),
+    ],
+    ids=["rhs", "twice", "unknown-target", "binder-target", "where", "property",
+         "invariant", "gluing", "proof-step"],
+)
+def test_static_rules_are_checked_whatever_the_states(tmp_path, capsys, part, text, diagnostic):
+    # each rule holds of the text, so it is broken even where no state
+    # reaches the construct, and the diagnostic names the construct
+    parts = {**STATIC_DEFAULTS, part: text}
+    model = STATIC_PROBE.format(**parts)
+    assert _diagnostics(tmp_path, capsys, model) == [f"M: {diagnostic}"]
+
+
+def test_static_probe_defaults_are_well_formed(tmp_path, capsys):
+    path = tmp_path / "probe.fb"
+    path.write_text(STATIC_PROBE.format(**STATIC_DEFAULTS))
+    assert run_cli(["report", str(path)]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 def test_max_states_flag(capsys, tmp_path):
     model = tmp_path / "wide.fb"
     model.write_text(

@@ -283,11 +283,14 @@ def test_conjunctivity_of_commands():
     assert conjunctivity_check(Skip(StateSpace("u", 3))).ok
 
 
-def test_conjunctivity_check_medium_space_path():
-    space = StateSpace("u", 8)
+def test_conjunctivity_check_size_gate():
+    # exact on every space of up to 12 states, and refused above that, like
+    # monotone_check: there is no sampled mode
     rng = random.Random(8)
-    c = random_command(rng, space, depth=2)
-    assert conjunctivity_check(c).ok
+    assert conjunctivity_check(random_command(rng, StateSpace("u", 8), depth=2)).ok
+    assert conjunctivity_check(Skip(StateSpace("u", 12))).ok
+    with pytest.raises(ValueError, match="size <= 12, got 13"):
+        conjunctivity_check(Skip(StateSpace("u", 13)))
 
 
 def test_conjunctivity_witness_on_angelic_function(monkeypatch):

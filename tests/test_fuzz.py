@@ -1,7 +1,8 @@
 """Seeded token-mutation fuzzing of the command line.
 
-Each case replaces, inserts or deletes a few tokens of a shipped model and
-runs `report` on the result. Whatever the text, the run must end in a
+Each case replaces, inserts or deletes a few tokens of a shipped model, or
+of fuzz_seed.fb, which uses every construct of the language, and runs
+`report` on the result. Whatever the text, the run must end in a
 verdict (exit 0 or 1) or in a diagnostic (exit 2), never in an uncaught
 exception.
 """
@@ -16,7 +17,8 @@ import pytest
 
 from faircheck.cli import run_cli
 
-MODELS = sorted((Path(__file__).parent.parent / "models").glob("*.fb"))
+HERE = Path(__file__).parent
+MODELS = sorted((HERE.parent / "models").glob("*.fb")) + [HERE / "fuzz_seed.fb"]
 
 # a comment, one of the lexer's multi-character symbols, a word, or any
 # other single character

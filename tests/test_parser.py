@@ -98,9 +98,9 @@ def test_predicate_precedence_and_parens():
     guard = result.document.systems[0].events[0].guard
     assert isinstance(guard, PImp)
     left = guard.left
-    assert isinstance(left, PAnd)
-    assert isinstance(left.left, PNot)
-    assert isinstance(left.right, POr)
+    assert isinstance(left, PAnd) and len(left.operands) == 2
+    assert isinstance(left.operands[0], PNot)
+    assert isinstance(left.operands[1], POr)
     cmp = guard.right
     assert isinstance(cmp, PCmp)
 
