@@ -3,9 +3,10 @@
 Every static rule of the text is checked once, before any state is
 enumerated: names read are in scope, update lists assign distinct state
 variables (or are one "any" block with a fresh binder), declarations are
-unique and refer to declared things. Diagnostics name the construct: "s.e"
-an event, "s" a block, "P" a property, "main.s1" a proof step. After that,
-the loops over states only evaluate. One function elaborates each block:
+unique and refer to declared things, and a refinement refines every
+abstract event. Diagnostics name the construct: "s.e" an event, "s" a
+block, "P" a property, "main.s1" a proof step. After that, the loops over
+states only evaluate. One function elaborates each block:
 valuations are enumerated in declaration order and carved by the invariant
 (a system) or by being glued to an abstract state (a refinement), so every
 event is checked here to stay inside the space and the checkers downstream
@@ -279,11 +280,22 @@ def _check_document(doc: ModelDocument) -> None:
     _check_unique((d.name for d in blocks), "duplicate declaration")
     systems = {d.name: _check_block(d, frozenset()) for d in doc.systems}  # their variables
     scopes = dict(systems)
+    events = {d.name: {e.name for e in d.events} for d in blocks}
     for rdecl in doc.refinements:
         if rdecl.refined not in systems:
             raise ElaborationError(f"{rdecl.name}: refines unknown system {rdecl.refined!r}")
         scopes[rdecl.name] = _check_block(rdecl, systems[rdecl.refined])
-    events = {d.name: {e.name for e in d.events} for d in blocks}
+        abstract = events[rdecl.refined]
+        for event in rdecl.events:
+            if event.refines != "skip" and event.refines not in abstract:
+                raise ElaborationError(
+                    f"{rdecl.name}.{event.name}: refines unknown abstract event {event.refines!r}"
+                )
+        unrefined = abstract - {e.refines for e in rdecl.events}
+        if unrefined:
+            raise ElaborationError(
+                f"{rdecl.name}: abstract events are never refined: {sorted(unrefined)}"
+            )
 
     _check_unique((p.name for p in doc.properties), "duplicate property")
     properties = {p.name: p for p in doc.properties}

@@ -425,9 +425,15 @@ def semantic_leadsto(sys: EventSystem, p: StateSet, q: StateSet) -> OracleResult
     reachable deadlock or a reachable strongly connected component in which
     every event is disabled at some state or has a transition staying inside
     the component. Either finding refutes the property and is returned as a
-    concrete witness. Guards and the complement of q are read as one byte
-    per state and successors as index lists, so its work is linear in the
-    reachable states and edges once those are built.
+    concrete witness.
+
+    Each event is one row: its enabled states, one byte per state, and its
+    successor lists. The search keeps one graph, each reached state's
+    q-avoiding successors, and tests a component by reading the rows again:
+    an event is disabled at the first component state whose flag is 0, or
+    taken on the first edge, in component order, that stays inside, or else
+    the component is unfair. The work is linear in the reachable states and
+    edges.
 
     Testing the maximal components suffices under weak fairness, with no
     Emerson-Lei-style recursive decomposition. An avoiding fair run ends up
@@ -443,91 +449,63 @@ def semantic_leadsto(sys: EventSystem, p: StateSet, q: StateSet) -> OracleResult
     if start.is_empty():
         return OracleResult(True)
 
-    labels = list(sys.labels)
+    # one row per event: the states where it is enabled, and its successors
     rows = []
-    for label in labels:
+    for label in sys.labels:
         guard, rel = _event_edges(sys.events[label])
-        rows.append((label, guard.flags(), rel.successors))
+        rows.append((label, (guard & rel.domain()).flags(), rel.successors))
     avoid = q.complement().flags()
 
-    # reachable part of the q-avoiding graph; per state, the enabled events
-    # and each event's avoiding successors in ascending order
+    # reachable part of the q-avoiding graph, each state's successors ascending
     adj: dict[int, list[int]] = {}
-    by_label: dict[int, dict[str, list[int]]] = {}
-    enabled: dict[int, set[str]] = {}
     frontier = list(start.members())
     seen = set(frontier)
     while frontier:
         x = frontier.pop()
-        outs: dict[str, list[int]] = {}
-        here: set[str] = set()
-        for label, guard, succ in rows:
-            targets = succ(x) if guard[x] else ()
-            if not targets:
-                continue
-            here.add(label)
-            kept = [t for t in targets if avoid[t]]
-            if kept:
-                outs[label] = kept
-        by_label[x] = outs
-        enabled[x] = here
-        merged = sorted({t for ts in outs.values() for t in ts})
-        adj[x] = merged
+        adj[x] = merged = sorted(
+            {t for _, enabled, succ in rows if enabled[x] for t in succ(x) if avoid[t]}
+        )
         for t in merged:
             if t not in seen:
                 seen.add(t)
                 frontier.append(t)
 
-    nodes = sorted(seen)
+    nodes = sorted(adj)
 
     # a reachable state where no event is enabled stops the run short of q
     for x in nodes:
-        if not enabled[x]:
+        if not any(enabled[x] for _, enabled, _ in rows):
             path = _bfs_path(adj, sorted(start.members()), x)
             return OracleResult(False, deadlock_path=tuple(path))
 
     for comp in _tarjan_sccs(nodes, adj):
-        comp_set = set(comp)
-        internal = {
-            x: [t for t in adj[x] if t in comp_set] for x in comp
-        }
-        if not any(internal.values()):
+        if len(comp) == 1 and comp[0] not in adj[comp[0]]:
             continue  # trivial component without a self-loop
+        inside = set(comp)
         justification: list[tuple[str, str, object]] = []
-        feasible = True
-        for label in labels:
-            disabled_at = [x for x in comp if label not in enabled[x]]
-            if disabled_at:
-                justification.append((label, "disabled", disabled_at[0]))
+        for label, enabled, succ in rows:
+            disabled = next((x for x in comp if not enabled[x]), None)
+            if disabled is not None:
+                justification.append((label, "disabled", disabled))
                 continue
-            taken = next(
-                (
-                    (x, t)
-                    for x in comp
-                    for t in by_label[x].get(label, ())
-                    if t in comp_set
-                ),
-                None,
-            )
+            taken = next(((x, t) for x in comp for t in succ(x) if t in inside), None)
             if taken is None:
-                feasible = False
-                break
+                break  # enabled throughout and always leaving: no fair run stays
             justification.append((label, "taken", taken))
-        if not feasible:
-            continue
-        lasso = _build_lasso(adj, internal, comp, justification, start)
-        return OracleResult(False, lasso=lasso)
+        else:
+            return OracleResult(False, lasso=_build_lasso(adj, comp, justification, start))
 
     return OracleResult(True)
 
 
 def _build_lasso(
     adj: Mapping[int, list[int]],
-    internal: Mapping[int, list[int]],
     comp: list[int],
     justification: list[tuple[str, str, object]],
     start: StateSet,
 ) -> FairLasso:
+    inside = set(comp)
+    internal = {x: [t for t in adj[x] if t in inside] for x in comp}
     anchor = comp[0]
     walk = [anchor]
 

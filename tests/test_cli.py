@@ -141,10 +141,10 @@ def test_missing_file_exit_code(capsys):
     assert run_cli(["check", "no-such-file.fb"]) == 2
 
 
-def _diagnostics(tmp_path, capsys, text: str) -> list[str]:
+def _diagnostics(tmp_path, capsys, text: str, *options: str) -> list[str]:
     path = tmp_path / "hostile.fb"
     path.write_text(text, encoding="utf-8")
-    code = run_cli(["report", str(path)])
+    code = run_cli(["report", str(path), *options])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     return [line.replace(str(path), "M") for line in captured.err.splitlines()]
@@ -182,14 +182,20 @@ end
 refinement r refines s
  var y : 0..2
  gluing {r}
- event f2 refines f when y = 0 then y := 1 end
+ {e}
 end
 property P leadsto from {p} to y = 1
 proof main goal P
  step s1 brl from {step} to y = 1
 end
 """
-STATIC_DEFAULTS = {"s": "invariant x < 3", "r": "y = x", "p": "y = 0", "step": "y = 0"}
+STATIC_DEFAULTS = {
+    "s": "invariant x < 3",
+    "r": "y = x",
+    "e": "event f2 refines f when y = 0 then y := 1 end",
+    "p": "y = 0",
+    "step": "y = 0",
+}
 
 
 @pytest.mark.parametrize(
@@ -212,16 +218,29 @@ STATIC_DEFAULTS = {"s": "invariant x < 3", "r": "y = x", "p": "y = 0", "step": "
         ("s", "invariant x < 3 or w = 1", "s: unknown variable 'w'"),
         ("r", "y = x or w = 1", "r: unknown variable 'w'"),
         ("step", "y = 0 or zz = 1", "main.s1: unknown variable 'zz'"),
+        (
+            "e",
+            "event f2 refines ff when y = 0 then y := 1 end",
+            "r.f2: refines unknown abstract event 'ff'",
+        ),
+        (
+            "e",
+            "event f2 refines skip when y = 0 then y := 1 end",
+            "r: abstract events are never refined: ['f']",
+        ),
     ],
     ids=["rhs", "twice", "unknown-target", "binder-target", "where", "property",
-         "invariant", "gluing", "proof-step"],
+         "invariant", "gluing", "proof-step", "refines-unknown", "never-refined"],
 )
 def test_static_rules_are_checked_whatever_the_states(tmp_path, capsys, part, text, diagnostic):
     # each rule holds of the text, so it is broken even where no state
-    # reaches the construct, and the diagnostic names the construct
+    # reaches the construct, and the diagnostic names the construct; it is
+    # checked before any state is enumerated, so a state bound below the
+    # 3 * 3 (concrete, abstract) pairs the gluing evaluates does not hide it
     parts = {**STATIC_DEFAULTS, part: text}
     model = STATIC_PROBE.format(**parts)
-    assert _diagnostics(tmp_path, capsys, model) == [f"M: {diagnostic}"]
+    diagnostics = _diagnostics(tmp_path, capsys, model, "--max-states", "8")
+    assert diagnostics == [f"M: {diagnostic}"]
 
 
 def test_static_probe_defaults_are_well_formed(tmp_path, capsys):

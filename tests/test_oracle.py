@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -358,3 +360,60 @@ def test_oracle_direct_reading_matches_transformer_extraction_random(make):
         assert direct == semantic_leadsto(_via_transformers(gsys.system), p, q)
         kinds.add(_verdict_kind(direct))
     assert kinds == {"pass", "lasso", "deadlock"}
+
+
+# ---------------------------------------------------------------------------
+# Many components, and the oracle's memory
+# ---------------------------------------------------------------------------
+
+
+def _components_text(m: int, inc_guard: str) -> str:
+    """m two-state components x = 0..m-1, each closed by flip and joined by
+    inc; a component is fair only where inc is disabled somewhere in it.
+    flip comes first, so an unfair component has justified it before inc
+    fails the test."""
+    return (
+        f"system s\n var x : 0..{m}\n var b : 0..1\n"
+        f" event flip when x < {m} then b := 1 - b end\n"
+        f" event inc when {inc_guard} then x := x + 1 end\nend\n"
+        f"property L leadsto from x < {m} to x = {m}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "inc_guard, fair",
+    [
+        ("x < {m}", None),
+        # the last component, which the SCC search tests first
+        ("x < {m} - 1", -1),
+        # the first component, tested after every unfair one
+        ("x < {m} and (x > 0 or b = 1)", 0),
+    ],
+    ids=["all-unfair", "last-fair", "first-fair"],
+)
+def test_oracle_on_many_components_agrees_with_subset_enumeration(inc_guard, fair):
+    for m in range(1, 7):
+        ((system, p, q),) = _leadsto_cases(_components_text(m, inc_guard.format(m=m)))
+        guards = {label: e.guard for label, e in system.events.items()}
+        rels = {label: e.body.rel for label, e in system.events.items()}
+        result = _check_against_reference(GenSystem(system, guards, rels), p, q)
+        if fair is None:
+            assert result.holds, m
+        else:
+            x = fair % m  # state 2x + b is (x, b)
+            assert sorted(result.lasso.cycle) == [2 * x, 2 * x + 1], (m, result)
+
+
+def test_oracle_keeps_one_graph_and_no_per_state_tables():
+    # one successor list per reached state plus the SCC search's own tables
+    # peak near 650 bytes per state; a table per state of its enabled events
+    # and of each one's successors would double that
+    ((system, p, q),) = _leadsto_cases(_ring_text(20001, "pass"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert semantic_leadsto(system, p, q).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 950 * 20001, peak
