@@ -24,6 +24,7 @@ from . import __version__
 from .elaborator import (
     DEFAULT_MAX_STATES,
     ElaboratedModel,
+    ElaboratedSystem,
     ElaborationError,
     elaborate,
 )
@@ -44,7 +45,7 @@ from .refinement import (
     discharge_lip_with_oracle,
 )
 from .reports import ReportDocument, ReportEntry, lasso_json
-from .unity import ScriptEnv, check_script, check_unless, semantic_leadsto
+from .unity import OracleResult, ScriptEnv, check_script, check_unless, semantic_leadsto
 
 
 class _CliError(Exception):
@@ -97,21 +98,9 @@ def _refinement_reports(model: ElaboratedModel, pair_name: str, doc: ReportDocum
         ens = prop.as_ensures()
         doc.add(check_sap(pair, ens), concrete)
         evidence = discharge_lip_with_oracle(pair, ens)
-        lasso = (
-            lasso_json(concrete, evidence.lasso) if evidence.lasso is not None else None
-        )
-        doc.add(
-            ObligationReport(
-                f"LIP-goal:{prop.name}",
-                "pass" if evidence.holds else "fail",
-                witnesses=evidence.goal.lhs.members() if not evidence.holds else (),
-                narrative="discharged by the semantic oracle"
-                if evidence.holds
-                else "the concrete system can avoid the refined helpful guard",
-                refs=(prop.name, pair_name),
-            ),
-            concrete,
-            lasso=lasso,
+        _add_oracle_verdict(
+            doc, concrete, evidence.oracle, f"LIP-goal:{prop.name}", (prop.name, pair_name),
+            "discharged by the semantic oracle", "the refined helpful guard",
         )
         for report in derived_inclusions(pair, ens):
             doc.add(report, concrete)
@@ -139,30 +128,32 @@ def _script_report(model: ElaboratedModel, name: str, doc: ReportDocument) -> No
     )
 
 
+def _add_oracle_verdict(
+    doc: ReportDocument, owner: ElaboratedSystem, verdict: OracleResult, rid: str,
+    refs: tuple[str, ...], passed: str, target: str,
+) -> None:
+    """One entry for a leads-to verdict of the oracle, whose narrative is
+    `passed` when it holds. A refutation names one state: the first cycle
+    state of its lasso, or the stuck state that ends its deadlock path."""
+    narrative, witnesses = passed, ()
+    if verdict.deadlock_path is not None:
+        narrative = f"a stuck state is reachable before {target}"
+        witnesses = verdict.deadlock_path[-1:]
+    elif verdict.lasso is not None:
+        narrative = f"a weakly fair execution avoids {target}"
+        witnesses = verdict.lasso.cycle[:1]
+    lasso = lasso_json(owner, verdict.lasso) if verdict.lasso is not None else None
+    status = "pass" if verdict.holds else "fail"
+    doc.add(ObligationReport(rid, status, witnesses, narrative, refs), owner, lasso=lasso)
+
+
 def _oracle_report(model: ElaboratedModel, name: str, doc: ReportDocument) -> None:
     prop = model.properties[name]
     owner = model.owner(prop.source)
     verdict = semantic_leadsto(owner.system, prop.p, prop.q)
-    lasso = lasso_json(owner, verdict.lasso) if verdict.lasso is not None else None
-    witnesses: tuple[int, ...] = ()
-    narrative = "every weakly fair execution reaches the target"
-    if not verdict.holds:
-        narrative = "a weakly fair execution avoids the target"
-        if verdict.deadlock_path is not None:
-            narrative = "a stuck state is reachable before the target"
-            witnesses = verdict.deadlock_path[-1:]
-        elif verdict.lasso is not None:
-            witnesses = verdict.lasso.cycle[:1]
-    doc.add(
-        ObligationReport(
-            f"ORACLE:{name}",
-            "pass" if verdict.holds else "fail",
-            witnesses=witnesses,
-            narrative=narrative,
-            refs=(name,),
-        ),
-        owner,
-        lasso=lasso,
+    _add_oracle_verdict(
+        doc, owner, verdict, f"ORACLE:{name}", (name,),
+        "every weakly fair execution reaches the target", "the target",
     )
 
 

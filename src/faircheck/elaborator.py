@@ -109,20 +109,20 @@ def _binding_label(binding: Mapping[str, int]) -> str:
 
 @dataclass
 class ElaboratedSystem:
-    """A system together with its valuation table for rendering witnesses."""
+    """A system together with its states' values for rendering witnesses:
+    state i has the values valuations[i], in declaration order."""
 
     name: str
     space: StateSpace
     variables: tuple[VarDecl, ...]
-    valuations: tuple[dict[str, int], ...]
+    valuations: tuple[tuple[int, ...], ...]
     system: EventSystem
 
-    def set_of(self, pred: Pred) -> StateSet:
-        members = [i for i, val in enumerate(self.valuations) if eval_pred(pred, val)]
-        return self.space.subset(members)
-
     def binding(self, index: int) -> dict[str, int]:
-        return dict(self.valuations[index])
+        return dict(zip((v.name for v in self.variables), self.valuations[index]))
+
+    def label(self, index: int) -> str:
+        return _binding_label(self.binding(index))
 
 
 @dataclass
@@ -377,64 +377,71 @@ def _successor_bindings(
 def _elaborate_block(
     decl: SystemDecl | RefinementDecl,
     abstract: ElaboratedSystem | None,
+    abstract_envs: list[dict[str, int]],
     max_states: int,
-) -> ElaboratedSystem | ElaboratedRefinement:
-    """The states, events and (for a refinement, whose abstract system is
-    given) the gluing relation of one block that passed the static checks."""
+) -> tuple[ElaboratedSystem | ElaboratedRefinement, list[dict[str, int]]]:
+    """The states, events and (for a refinement, whose abstract system and
+    its states' dicts are given) the gluing relation of one block that
+    passed the static checks, and a variable-to-value dict for each state.
+    The elaborated block keeps its states as value tuples only."""
     total = 1
     for v in decl.variables:
         total *= v.hi - v.lo + 1
         if total > max_states:
             raise ElaborationError(f"{decl.name}: state space exceeds the {max_states}-state bound")
     names = [v.name for v in decl.variables]
-    ranges = [range(v.lo, v.hi + 1) for v in decl.variables]
-    all_vals = [dict(zip(names, combo)) for combo in itertools.product(*ranges)]
+    box = itertools.product(*(range(v.lo, v.hi + 1) for v in decl.variables))
+    valuations: list[tuple[int, ...]] = []
+    envs: list[dict[str, int]] = []
     if abstract is None:
-        valuations = [
-            val for val in all_vals if all(eval_pred(inv, val) for inv in decl.invariants)
-        ]
+        for key in box:
+            env = dict(zip(names, key))
+            if all(eval_pred(inv, env) for inv in decl.invariants):
+                valuations.append(key)
+                envs.append(env)
         if not valuations:
             raise ElaborationError(f"{decl.name}: the invariant is unsatisfiable")
         outside = "violates the invariant"
     else:
-        joint = len(all_vals) * abstract.space.size
+        joint = total * abstract.space.size
         if joint > max_states:
             raise ElaborationError(
                 f"{decl.name}: the gluing evaluates {joint} (concrete, abstract) pairs, "
                 f"more than the {max_states}-state bound"
             )
-        valuations, gluing_pairs = [], []
-        for yval in all_vals:
+        gluing_pairs = []
+        for key in box:
+            env = dict(zip(names, key))
             partners = [
                 x_index
-                for x_index, xval in enumerate(abstract.valuations)
-                if all(eval_pred(g, {**xval, **yval}) for g in decl.gluings)
+                for x_index, xval in enumerate(abstract_envs)
+                if all(eval_pred(g, {**xval, **env}) for g in decl.gluings)
             ]
             if partners:
                 gluing_pairs += [(len(valuations), x_index) for x_index in partners]
-                valuations.append(yval)
+                valuations.append(key)
+                envs.append(env)
         if not valuations:
             raise ElaborationError(f"{decl.name}: gluing not total: no concrete state is glued")
         outside = "glues to no abstract state (gluing not total there)"
 
-    space = StateSpace(decl.name, len(valuations), tuple(map(_binding_label, valuations)))
-    # a valuation's values are in declaration order, like a successor key
-    index_of = {tuple(val.values()): i for i, val in enumerate(valuations)}
+    space = StateSpace(decl.name, len(valuations))
+    index_of = {key: i for i, key in enumerate(valuations)}
     events: dict[str, Command] = {}
     for event in decl.events:
         context = f"{decl.name}.{event.name}"
         guard_members = []
         pairs: list[tuple[int, int]] = []
         budget = [0, max_states]
-        for i, val in enumerate(valuations):
-            if not eval_pred(event.guard, val):
+        for i, env in enumerate(envs):
+            if not eval_pred(event.guard, env):
                 continue
             guard_members.append(i)
-            for key in _successor_bindings(event.updates, val, names, context, budget):
+            for key in _successor_bindings(event.updates, env, names, context, budget):
                 j = index_of.get(key)
                 if j is None:
                     raise ElaborationError(
-                        f"{context}: from state {_binding_label(val)} the event reaches "
+                        f"{context}: from state {_binding_label(env)} the event reaches "
                         f"{_binding_label(dict(zip(names, key)))}, which {outside}"
                     )
                 pairs.append((i, j))
@@ -447,31 +454,38 @@ def _elaborate_block(
         system = EventSystem(space, events)
         elaborated = ElaboratedSystem(decl.name, space, decl.variables, tuple(valuations), system)
         if abstract is None:
-            return elaborated
+            return elaborated, envs
         gluing = StateRelation(space, abstract.space, gluing_pairs)
         refines = {e.name: (None if e.refines == "skip" else e.refines) for e in decl.events}
         pair = RefinementPair(abstract.system, system, gluing, refines)
     except ModelError as err:
         raise ElaborationError(f"{decl.name}: {err}") from err
-    return ElaboratedRefinement(decl.name, abstract.name, elaborated, pair)
+    return ElaboratedRefinement(decl.name, abstract.name, elaborated, pair), envs
 
 
 def elaborate(doc: ModelDocument, max_states: int = DEFAULT_MAX_STATES) -> ElaboratedModel:
     """Check the static rules, then build spaces, systems, refinement pairs,
     properties and scripts."""
     _check_document(doc)
-    systems = {decl.name: _elaborate_block(decl, None, max_states) for decl in doc.systems}
-    refinements = {
-        decl.name: _elaborate_block(decl, systems[decl.refined], max_states)
-        for decl in doc.refinements
-    }
+    envs: dict[str, list[dict[str, int]]] = {}  # each block's states as dicts, dropped on return
+    systems, refinements = {}, {}
+    for decl in doc.systems:
+        systems[decl.name], envs[decl.name] = _elaborate_block(decl, None, [], max_states)
+    for decl in doc.refinements:
+        refinements[decl.name], envs[decl.name] = _elaborate_block(
+            decl, systems[decl.refined], envs[decl.refined], max_states
+        )
     owners = dict(systems)
     owners.update({name: ref.concrete for name, ref in refinements.items()})
+
+    def set_of(source: str, pred: Pred) -> StateSet:
+        members = [i for i, env in enumerate(envs[source]) if eval_pred(pred, env)]
+        return owners[source].space.subset(members)
 
     properties = {
         pdecl.name: ElaboratedProperty(
             pdecl.name, pdecl.kind, pdecl.source, pdecl.helpful,
-            owners[pdecl.source].set_of(pdecl.frm), owners[pdecl.source].set_of(pdecl.to),
+            set_of(pdecl.source, pdecl.frm), set_of(pdecl.source, pdecl.to),
         )
         for pdecl in doc.properties
     }
@@ -485,7 +499,8 @@ def elaborate(doc: ModelDocument, max_states: int = DEFAULT_MAX_STATES) -> Elabo
         for sdecl in prdecl.steps:
             conclusion = None
             if sdecl.frm is not None and sdecl.to is not None:
-                conclusion = LeadsTo(owner.set_of(sdecl.frm), owner.set_of(sdecl.to), sdecl.name)
+                lhs, rhs = set_of(source, sdecl.frm), set_of(source, sdecl.to)
+                conclusion = LeadsTo(lhs, rhs, sdecl.name)
             refs = sdecl.refs
             if sdecl.rule == "brl" and not refs:  # an inline conclusion, by the static checks
                 gen = f"{prdecl.name}:{sdecl.name}"

@@ -25,7 +25,7 @@ from .obligations import (
     inclusion_report,
 )
 from .sets import StateRelation, StateSet
-from .unity import FairLasso, LeadsTo, semantic_leadsto
+from .unity import LeadsTo, OracleResult, semantic_leadsto
 
 
 class RefinementPair:
@@ -45,8 +45,7 @@ class RefinementPair:
             raise ModelError("gluing must go to the abstract space")
         if not gluing.is_total():
             orphan = gluing.domain().complement().members()[0]
-            label = concrete.space.label_of(orphan)
-            raise ModelError(f"gluing not total: concrete state {label} glues to nothing")
+            raise ModelError(f"gluing not total: concrete state {orphan} glues to nothing")
         missing = set(concrete.labels) - set(refines)
         if missing:
             raise ModelError(f"refines map misses concrete events: {sorted(missing)}")
@@ -140,16 +139,16 @@ def check_all_event_refinements(rp: RefinementPair) -> list[ObligationReport]:
     return [check_event_refinement(rp, label) for label in rp.concrete.labels]
 
 
-def _failed_gate(rp: RefinementPair, prop: EnsuresProperty) -> tuple[str, tuple] | None:
-    """Why the preservation of an abstract property is blocked, with the
-    witnesses: its `ENS:<p>` fails, or else the first `REF:<label>` of the
-    pair that fails. None when all of them pass."""
+def _failed_gate(rp: RefinementPair, prop: EnsuresProperty) -> str | None:
+    """Why the preservation of an abstract property is blocked: its
+    `ENS:<p>` fails, or else the first `REF:<label>` of the pair that fails,
+    whose own report carries the witnesses. None when all of them pass."""
     abstract = check_ensures(rp.abstract, prop)
     if not abstract.passed:
-        return f"abstract property failed: {abstract.narrative}", ()
+        return f"abstract property failed: {abstract.narrative}"
     for report in check_all_event_refinements(rp):
         if not report.passed:
-            return f"event refinement failed: {report.id}", report.witnesses
+            return f"event refinement failed: {report.id}"
     return None
 
 
@@ -205,19 +204,19 @@ def lip_goal(rp: RefinementPair, prop: EnsuresProperty) -> LeadsTo:
 @dataclass(frozen=True)
 class LipEvidence:
     """A discharged liveness-preservation goal: oracle verdict or a checked
-    proof script, together with the goal it certifies and, when the oracle
-    refuted it with one, the counterexample lasso."""
+    proof script, together with the goal it certifies and, from the oracle,
+    its whole result (a refutation's lasso or deadlock path)."""
 
     goal: LeadsTo
     holds: bool
     source: str  # "oracle" | "script:<name>"
-    lasso: FairLasso | None = None
+    oracle: OracleResult | None = None
 
 
 def discharge_lip_with_oracle(rp: RefinementPair, prop: EnsuresProperty) -> LipEvidence:
     goal = lip_goal(rp, prop)
     verdict = semantic_leadsto(rp.concrete, goal.lhs, goal.rhs)
-    return LipEvidence(goal, verdict.holds, "oracle", verdict.lasso)
+    return LipEvidence(goal, verdict.holds, "oracle", verdict)
 
 
 def concrete_property(rp: RefinementPair, prop: EnsuresProperty) -> EnsuresProperty:
@@ -250,7 +249,7 @@ def check_refined_ensures(
 
     gate = _failed_gate(rp, prop)
     if gate is not None:
-        return blocked(*gate)
+        return blocked(gate)
     sap = check_sap(rp, prop)
     if not sap.passed:
         return blocked("safety preservation failed", sap.witnesses)

@@ -37,7 +37,7 @@ VERDICTS = ("pass", "fail", "hypothesis-failed")
 
 
 def witness_item(system: ElaboratedSystem, index: int) -> dict[str, Any]:
-    return {"state": system.space.label_of(index), "bindings": system.binding(index)}
+    return {"state": system.label(index), "bindings": system.binding(index)}
 
 
 def state_witnesses(system: ElaboratedSystem, report: ObligationReport) -> list[dict[str, Any]]:
@@ -57,9 +57,7 @@ def state_witnesses(system: ElaboratedSystem, report: ObligationReport) -> list[
 
 
 def lasso_json(system: ElaboratedSystem, lasso: FairLasso) -> dict[str, Any]:
-    def name(i: int) -> str:
-        return system.space.label_of(i)
-
+    name = system.label
     justifications = []
     for label, kind, witness in lasso.justifications:
         if kind == "disabled":

@@ -50,33 +50,19 @@ class StateSpace:
 
     Identity is nominal: two spaces are the same iff their ids match. This
     keeps abstract and concrete universes from being mixed by accident even
-    when they happen to have equal cardinality.
+    when they happen to have equal cardinality. A state is only its index;
+    the elaborated system that owns the space renders it.
     """
 
     id: str
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError(f"state space {self.id!r} must have size >= 1, got {self.size}")
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ValueError(
-                f"state space {self.id!r}: {len(self.labels)} labels for {self.size} states"
-            )
-
-    def __hash__(self) -> int:
-        # agrees with ==, since equal spaces have equal ids and sizes; the
-        # labels are left out because hashing them walks every state
-        return hash((self.id, self.size))
 
     def same_as(self, other: "StateSpace") -> bool:
         return self.id == other.id and self.size == other.size
-
-    def label_of(self, index: int) -> str:
-        if self.labels is not None:
-            return self.labels[index]
-        return str(index)
 
     @property
     def full_mask(self) -> int:
@@ -173,9 +159,6 @@ class StateSet:
         """One byte per state, 1 for members: constant-time membership for
         loops that visit many states."""
         return _flags(self.mask, self.space.size)
-
-    def pretty(self) -> str:
-        return "{" + ", ".join(self.space.label_of(i) for i in self) + "}"
 
     def __repr__(self) -> str:
         return f"StateSet({self.space.id}:{{{', '.join(map(str, self.members()))}}})"

@@ -602,6 +602,11 @@ def load_workloads():
     return _load_perfbench("workloads", "workloads.py")
 
 
+def load_calibrate():
+    """perfbench's calibration script: `ring_text(n)` is Ring(n)."""
+    return _load_perfbench("perfbench_calibrate", "calibrate.py")
+
+
 def load_reference():
     """perfbench's engine-free reference: `reference_verdicts(model)` decides
     every obligation of a `workloads.Model` by brute force."""

@@ -443,6 +443,99 @@ def test_refine_with_failing_event_refinement_skips_derived_inclusions(capsys, t
     assert verdicts["RENS:P1"]["narrative"] == "event refinement failed: REF:inc2"
 
 
+def test_blocked_preserved_ensures_renders_no_abstract_witness(capsys, tmp_path):
+    # go2 does not simulate go; REF:go2's witnesses are abstract states
+    # (x = 4 of 0..5), which the two concrete states cannot render
+    model = tmp_path / "big_small.fb"
+    model.write_text(
+        "system big\n var x : 0..5\n event go when x < 5 then x := x + 1 end\nend\n"
+        "property P ensures helpful {go} from x = 4 to x = 5\n"
+        "refinement small refines big\n var y : 0..1\n gluing x = y + 4\n"
+        " event go2 refines go when y = 0 then y := 0 end\nend\n"
+    )
+    code, out = _run(capsys, "refine", str(model), "--pair", "small", "--format", "json")
+    assert code == 1
+    verdicts = {o["id"]: o for o in json.loads(out)["obligations"]}
+    assert verdicts["REF:go2"]["witnesses"] == [{"state": "x=4", "bindings": {"x": 4}}]
+    assert verdicts["RENS:P"] == {
+        "id": "RENS:P",
+        "verdict": "hypothesis-failed",
+        "witnesses": [],
+        "refs": ["P"],
+        "narrative": "event refinement failed: REF:go2",
+    }
+
+
+@pytest.mark.parametrize(
+    "guard, narrative",
+    [
+        ("y = 1 or y = 2", "a weakly fair execution avoids the refined helpful guard"),
+        (
+            "(y = 1 or y = 2) and t /= 2",
+            "a stuck state is reachable before the refined helpful guard",
+        ),
+    ],
+    ids=["lasso", "deadlock"],
+)
+def test_failed_lip_goal_names_one_counterexample_state(capsys, tmp_path, guard, narrative):
+    # tick raises t = 0 but not t = 2, so from y = 1 or 2 with t = 2 done2
+    # never becomes enabled: inc2 swaps y forever, or (guarded by t /= 2)
+    # nothing is enabled; from t = 0 every fair run reaches done2's guard
+    text = Path(CTR).read_text().replace("var t : 0..1", "var t : 0..2", 1)
+    text = text.replace("when y = 1 or y = 2 then y := 3 - y", f"when {guard} then y := 3 - y", 1)
+    model = tmp_path / "lip.fb"
+    model.write_text(text)
+    code, out = _run(capsys, "refine", str(model), "--pair", "ctr2", "--format", "json")
+    assert code == 1
+    lip = next(o for o in json.loads(out)["obligations"] if o["id"] == "LIP-goal:P1")
+    assert lip["verdict"] == "fail"
+    assert lip["witnesses"] == [{"state": "y=1,t=2", "bindings": {"y": 1, "t": 2}}]
+    assert lip["narrative"] == narrative
+    if "t /= 2" in guard:
+        assert "lasso" not in lip
+    else:
+        assert lip["lasso"]["cycle"][0] == "y=1,t=2"
+
+
+GRID = """system grid
+  var v : 0..2
+  var u : 0..2
+  invariant v /= 1 or u = 2
+  event walk when v = 0 and u < 2 then u := u + 1 end
+  event hop when v = 0 and u = 2 then v := 2; u := 0 end
+  event spin when v = 2 and u < 2 then u := 1 - u end
+end
+property E ensures helpful {spin} from v = 2 to u = 2
+property L leadsto from v = 0 to v = 1
+"""
+
+
+def test_witnesses_and_lassos_name_states_by_their_values(capsys, tmp_path):
+    # the invariant drops v=1,u=0 and v=1,u=1, so the state v=2,u=0 has
+    # index 4 but position 6 in the box; labels follow declaration order
+    model = tmp_path / "grid.fb"
+    model.write_text(GRID)
+    code, out = _run(capsys, "report", str(model), "--format", "json")
+    assert code == 1
+    verdicts = {o["id"]: o for o in json.loads(out)["obligations"]}
+    assert verdicts["ENS:E"]["witnesses"] == [
+        {"state": "v=2,u=0", "bindings": {"v": 2, "u": 0}},
+        {"state": "v=2,u=1", "bindings": {"v": 2, "u": 1}},
+    ]
+    assert [list(w["bindings"]) for w in verdicts["ENS:E"]["witnesses"]] == [["v", "u"]] * 2
+    oracle = verdicts["ORACLE:L"]
+    assert oracle["witnesses"] == [{"state": "v=2,u=0", "bindings": {"v": 2, "u": 0}}]
+    assert oracle["lasso"] == {
+        "stem": ["v=0,u=2"],
+        "cycle": ["v=2,u=0", "v=2,u=1"],
+        "justifications": [
+            {"event": "walk", "kind": "disabled", "state": "v=2,u=0"},
+            {"event": "hop", "kind": "disabled", "state": "v=2,u=0"},
+            {"event": "spin", "kind": "taken", "transition": ["v=2,u=0", "v=2,u=1"]},
+        ],
+    }
+
+
 @pytest.mark.parametrize(
     "flag",
     [["--samples", "50"], ["--seed", "3"], ["--exhaustive"]],

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from faircheck import check_ensures, check_unless, grd_of, semantic_leadsto
 from faircheck.elaborator import ElaborationError, elaborate, eval_expr, eval_pred
 from faircheck.parser import parse_document
+from helpers import load_calibrate
 
 CTR_SOURCE = (Path(__file__).parent.parent / "models" / "ctr.fb").read_text()
 
@@ -22,7 +25,8 @@ def test_ctr_elaboration_sizes_and_sets():
     model = _elab(CTR_SOURCE)
     ctr = model.systems["ctr"]
     assert ctr.space.size == 4
-    assert ctr.space.labels == ("x=0", "x=1", "x=2", "x=3")
+    assert ctr.valuations == ((0,), (1,), (2,), (3,))
+    assert [ctr.label(i) for i in range(4)] == ["x=0", "x=1", "x=2", "x=3"]
     p1 = model.properties["P1"]
     assert p1.p.members() == (1, 2)
     assert p1.q.members() == (3,)
@@ -46,6 +50,35 @@ def test_ctr_properties_check_out():
     assert semantic_leadsto(ctr2.system, p2.p, p2.q).holds
 
 
+def test_labels_render_states():
+    # the invariant drops v=1,u=0 and v=1,u=1, so state 2 holds the fifth
+    # valuation of the box; labels and bindings follow declaration order
+    grid = _elab(
+        "system g\n var v : 0..2\n var u : 0..1\n invariant v /= 1\n"
+        " event e when true then u := u end\nend\n"
+    ).systems["g"]
+    assert grid.valuations == ((0, 0), (0, 1), (2, 0), (2, 1))
+    assert [grid.label(i) for i in range(4)] == ["v=0,u=0", "v=0,u=1", "v=2,u=0", "v=2,u=1"]
+    assert list(grid.binding(2).items()) == [("v", 2), ("u", 0)]
+
+
+def test_elaborated_model_keeps_one_value_tuple_per_state():
+    # a per-state dict and label string kept about 290 bytes per state of
+    # Ring(4001); its value tuple, the guard masks and the edge plans keep
+    # about 90
+    doc = parse_document(load_calibrate().ring_text(4001)).document
+    gc.collect()
+    tracemalloc.start()
+    try:
+        model = elaborate(doc)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert model.state_count == 4002
+    assert retained <= 150 * model.state_count, retained / model.state_count
+
+
 def test_refinement_elaboration_gluing():
     model = _elab(CTR_SOURCE)
     refinement = model.refinements["ctr2"]
@@ -55,11 +88,11 @@ def test_refinement_elaboration_gluing():
     pair = refinement.pair
     assert pair.gluing.is_total()
     # every concrete state glues to the abstract state with the same y
-    for y_index, val in enumerate(refinement.concrete.valuations):
+    for y_index in range(v.size):
         glued = pair.gluing.successors(y_index)
         assert len(glued) == 1
-        abstract_val = model.systems["ctr"].valuations[glued[0]]
-        assert abstract_val["x"] == val["y"]
+        abstract_val = model.systems["ctr"].binding(glued[0])
+        assert abstract_val["x"] == refinement.concrete.binding(y_index)["y"]
 
 
 def test_glued_membership_matches_predicate_reading():
@@ -74,12 +107,13 @@ def test_glued_membership_matches_predicate_reading():
     doc = parse_document(CTR_SOURCE).document
     rdecl = next(r for r in doc.refinements if r.name == "ctr2")
     pdecl = next(p for p in doc.properties if p.name == "P1")
-    for y_index, yval in enumerate(refinement.concrete.valuations):
+    for y_index in range(refinement.concrete.space.size):
+        yval = refinement.concrete.binding(y_index)
         exists = any(
             eval_pred(pdecl.frm, xval)
             and not eval_pred(pdecl.to, xval)
             and all(eval_pred(g, {**xval, **yval}) for g in rdecl.gluings)
-            for xval in ctr.valuations
+            for xval in map(ctr.binding, range(ctr.space.size))
         )
         assert exists == (y_index in glued_active)
 
