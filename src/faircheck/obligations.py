@@ -99,7 +99,7 @@ class ObligationReport:
 
     id: str
     verdict: str  # pass | fail | hypothesis-failed
-    witnesses: tuple[object, ...] = ()
+    witnesses: tuple[int, ...] = ()
     narrative: str = ""
     refs: tuple[str, ...] = ()
 

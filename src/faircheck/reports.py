@@ -10,6 +10,7 @@ The JSON document shape is:
           "id": str,
           "verdict": "pass" | "fail" | "hypothesis-failed",
           "witnesses": [{"state": str, "bindings": {var: int}}],
+          "witness_count": int,        # optional, when witnesses were cut
           "refs": [str],
           "narrative": str,            # optional
           "lasso": {...}               # optional, counterexample executions
@@ -35,25 +36,15 @@ REPORT_VERSION = "1"
 
 VERDICTS = ("pass", "fail", "hypothesis-failed")
 
-
-def witness_item(system: ElaboratedSystem, index: int) -> dict[str, Any]:
-    return {"state": system.label(index), "bindings": system.binding(index)}
+# A report renders at most this many witnesses of one obligation.
+MAX_JSON_WITNESSES = 100
 
 
 def state_witnesses(system: ElaboratedSystem, report: ObligationReport) -> list[dict[str, Any]]:
-    """Normalize a report's witnesses to state items over the given system.
-
-    Witnesses that are (subset, state) pairs from the simulation checks are
-    rendered through their offending state; the subset detail stays on the
-    programmatic report.
-    """
-    items = []
-    for w in report.witnesses:
-        if isinstance(w, int):
-            items.append(witness_item(system, w))
-        elif isinstance(w, tuple) and len(w) == 2 and isinstance(w[1], int):
-            items.append(witness_item(system, w[1]))
-    return items
+    """The first MAX_JSON_WITNESSES witness states of a report, as items over
+    the given system."""
+    shown = report.witnesses[:MAX_JSON_WITNESSES]
+    return [{"state": system.label(i), "bindings": system.binding(i)} for i in shown]
 
 
 def lasso_json(system: ElaboratedSystem, lasso: FairLasso) -> dict[str, Any]:
@@ -82,6 +73,7 @@ class ReportEntry:
     refs: list[str] = field(default_factory=list)
     narrative: str = ""
     lasso: dict[str, Any] | None = None
+    witness_count: int | None = None  # the total, when witnesses were cut
 
 
 @dataclass
@@ -92,20 +84,15 @@ class ReportDocument:
     def add(
         self,
         report: ObligationReport,
-        system: ElaboratedSystem | None = None,
+        system: ElaboratedSystem,
         lasso: dict[str, Any] | None = None,
     ) -> None:
-        witnesses = state_witnesses(system, report) if system is not None else []
-        self.entries.append(
-            ReportEntry(
-                report.id,
-                report.verdict,
-                witnesses,
-                list(report.refs),
-                report.narrative,
-                lasso,
-            )
-        )
+        total = len(report.witnesses)
+        witnesses = state_witnesses(system, report)
+        count = total if total > len(witnesses) else None
+        self.entries.append(ReportEntry(
+            report.id, report.verdict, witnesses, list(report.refs), report.narrative, lasso, count
+        ))
 
     @property
     def all_passed(self) -> bool:
@@ -120,6 +107,8 @@ class ReportDocument:
                 "witnesses": e.witnesses,
                 "refs": e.refs,
             }
+            if e.witness_count is not None:
+                item["witness_count"] = e.witness_count
             if e.narrative:
                 item["narrative"] = e.narrative
             if e.lasso is not None:
@@ -180,6 +169,9 @@ def validate_report(data: Any) -> list[str]:
                     or not isinstance(w.get("bindings"), dict)
                 ):
                     problems.append(f"{where}.witnesses[{j}] must be {{state, bindings}}")
+            count = item.get("witness_count", len(witnesses))
+            if type(count) is not int or count < len(witnesses):
+                problems.append(f"{where}.witness_count must be an int >= len(witnesses)")
         refs = item.get("refs")
         if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
             problems.append(f"{where}.refs must be a list of strings")

@@ -395,7 +395,7 @@ def _tarjan_sccs(nodes: list[int], adj: Mapping[int, list[int]]) -> list[list[in
     return sccs
 
 
-def _event_edges(cmd: Command) -> tuple[StateSet, StateRelation]:
+def event_edges(cmd: Command) -> tuple[StateSet, StateRelation]:
     """One event as (guard, relation): the event moves from x to the
     relation's successors of x when x is in the guard, and is enabled at x
     when there is at least one such successor.
@@ -420,7 +420,7 @@ def semantic_leadsto(sys: EventSystem, p: StateSet, q: StateSet) -> OracleResult
 
     This is the kit's independent oracle; it never consults the rule system
     or the fixpoint machinery, and it reads the edges and guards of
-    elaborated events directly (`_event_edges`). It restricts the
+    elaborated events directly (`event_edges`). It restricts the
     transition graph to the complement of q, and looks for either a
     reachable deadlock or a reachable strongly connected component in which
     every event is disabled at some state or has a transition staying inside
@@ -452,7 +452,7 @@ def semantic_leadsto(sys: EventSystem, p: StateSet, q: StateSet) -> OracleResult
     # one row per event: the states where it is enabled, and its successors
     rows = []
     for label in sys.labels:
-        guard, rel = _event_edges(sys.events[label])
+        guard, rel = event_edges(sys.events[label])
         rows.append((label, (guard & rel.domain()).flags(), rel.successors))
     avoid = q.complement().flags()
 

@@ -437,6 +437,26 @@ def exhaustive_simulation_gaps(
     return gaps
 
 
+def cosingleton_simulation_gaps(pair: RefinementPair, concrete_label: str) -> set[int]:
+    """Every abstract state at which the simulation condition of one concrete
+    event fails at the universe or at a co-singleton u - {t} of the concrete
+    space. Both sides of the condition are conjunctive in the concrete
+    subset, and a subset other than the universe is the meet of the
+    co-singletons it misses, so for conjunctive events this is the set of
+    abstract states of `exhaustive_simulation_gaps`, at n+1 subsets."""
+    v, u = pair.concrete.space, pair.abstract.space
+    target = pair.refines[concrete_label]
+    abstract_cmd = Skip(u) if target is None else pair.abstract.events[target]
+    concrete_cmd = pair.concrete.events[concrete_label]
+    universe = v.universe()
+    gaps: set[int] = set()
+    for s in [universe] + [universe - v.singleton(t) for t in range(v.size)]:
+        lhs = str_apply(abstract_cmd, pair.gluing.image(s.complement()).complement())
+        rhs = pair.gluing.image(str_apply(concrete_cmd, s).complement()).complement()
+        gaps.update((lhs - rhs).members())
+    return gaps
+
+
 # ---------------------------------------------------------------------------
 # Refinement generation by state splitting
 # ---------------------------------------------------------------------------

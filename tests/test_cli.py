@@ -443,6 +443,67 @@ def test_refine_with_failing_event_refinement_skips_derived_inclusions(capsys, t
     assert verdicts["RENS:P1"]["narrative"] == "event refinement failed: REF:inc2"
 
 
+def test_failing_event_refinement_lists_each_abstract_state_once(capsys, tmp_path):
+    # inc2 resets y: from y=1 and from y=2 it reaches y=0, glued to x=0,
+    # which is no successor of x=1 or x=2 under inc, so both fail SIM
+    model = tmp_path / "reset_pair.fb"
+    model.write_text(Path(CTR).read_text().replace("then y := 3 - y end", "then y := 0 end", 1))
+    narrative = (
+        "abstract event is disabled at, or does not simulate a concrete step from,"
+        " these glued states"
+    )
+    code, out = _run(capsys, "refine", str(model), "--pair", "ctr2")
+    assert code == 1
+    lines = out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("REF:inc2"))
+    assert lines[at] == f"{'REF:inc2':<28} fail  [x=1, x=2]"
+    assert lines[at + 1] == f"    {narrative}"
+    code, out = _run(capsys, "refine", str(model), "--pair", "ctr2", "--format", "json")
+    assert code == 1
+    ref = next(o for o in json.loads(out)["obligations"] if o["id"] == "REF:inc2")
+    assert ref == {
+        "id": "REF:inc2",
+        "verdict": "fail",
+        "witnesses": [
+            {"state": "x=1", "bindings": {"x": 1}},
+            {"state": "x=2", "bindings": {"x": 2}},
+        ],
+        "refs": ["inc2", "inc"],
+        "narrative": narrative,
+    }
+
+
+def test_json_witnesses_are_bounded_and_counted(capsys, tmp_path):
+    # inc reaches x = 300 in one step only from x = 299, so WF1 and ENS fail
+    # on the 299 states x = 0..298
+    model = tmp_path / "chain.fb"
+    model.write_text(
+        "system chain\n var x : 0..300\n event inc when x < 300 then x := x + 1 end\nend\n"
+        "property P ensures helpful {inc} from x < 300 to x = 300\n"
+    )
+    code, out = _run(capsys, "check", str(model), "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert validate_report(data) == []
+    verdicts = {o["id"]: o for o in data["obligations"]}
+    assert "witness_count" not in verdicts["WF0:P"]
+    for rid in ("WF1:P", "ENS:P"):
+        entry = verdicts[rid]
+        assert entry["witness_count"] == 299
+        assert [w["bindings"]["x"] for w in entry["witnesses"]] == list(range(100))
+    code, out = _run(capsys, "check", str(model))
+    assert f"{'WF1:P':<28} fail  [x=0, x=1, x=2, x=3]" in out.splitlines()
+
+
+def test_validate_report_reads_witness_count():
+    entry = {"id": "E", "verdict": "fail", "witnesses": [], "refs": []}
+    doc = {"version": "1", "model": "m", "obligations": [entry]}
+    assert validate_report(doc) == []
+    for count, ok in ((3, True), (0, True), (-1, False), ("3", False), (True, False)):
+        entry["witness_count"] = count
+        assert (validate_report(doc) == []) == ok, count
+
+
 def test_blocked_preserved_ensures_renders_no_abstract_witness(capsys, tmp_path):
     # go2 does not simulate go; REF:go2's witnesses are abstract states
     # (x = 4 of 0..5), which the two concrete states cannot render
