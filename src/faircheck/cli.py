@@ -183,6 +183,8 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     common(sub.add_parser("report", help="run every check and consolidate"))
 
     args = parser.parse_args(argv)
+    if args.max_states < 1:
+        parser.error(f"argument --max-states: must be at least 1, not {args.max_states}")
 
     try:
         model = _load(args.file, args.max_states)

@@ -443,8 +443,9 @@ def semantic_leadsto(sys: EventSystem, p: StateSet, q: StateSet) -> OracleResult
     component is fair whenever any of its sub-components is. (Strong
     fairness lacks this: "enabled somewhere" grows with the component.)
     """
-    if not p.space.same_as(sys.space) or not q.space.same_as(sys.space):
-        raise SpaceMismatchError(p.space, sys.space)
+    for operand in (p, q):
+        if not operand.space.same_as(sys.space):
+            raise SpaceMismatchError(operand.space, sys.space)
     start = p & q.complement()
     if start.is_empty():
         return OracleResult(True)

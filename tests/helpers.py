@@ -43,6 +43,7 @@ from faircheck import (
 )
 from faircheck.elaborator import elaborate
 from faircheck.parser import parse_document
+from faircheck.refinement import DRV_TAGS
 
 ROOT = Path(__file__).parent.parent
 
@@ -455,6 +456,44 @@ def cosingleton_simulation_gaps(pair: RefinementPair, concrete_label: str) -> se
         rhs = pair.gluing.image(str_apply(concrete_cmd, s).complement()).complement()
         gaps.update((lhs - rhs).members())
     return gaps
+
+
+# ---------------------------------------------------------------------------
+# Preservation theorem: the derived inclusions, computed
+# ---------------------------------------------------------------------------
+
+
+def refinement_groups(
+    pair: RefinementPair, prop: EnsuresProperty
+) -> tuple[Command, Command, Command]:
+    """Concrete (helpful, refining-rest, new) choices for one property."""
+    helpful = pair.helpful_labels(prop)
+    new = frozenset(l for l, a in pair.refines.items() if a is None)
+    rest = frozenset(pair.refines) - helpful - new
+    pick = pair.concrete.choice
+    return pick(helpful), pick(rest), pick(new)
+
+
+def derived_inclusion_failures(pair: RefinementPair, prop: EnsuresProperty) -> list[str]:
+    """The tags of `refinement.DRV_TAGS` whose inclusion does not hold,
+    computed with `str_apply` over the three concrete groups. Once the
+    abstract ensures property and every event refinement pass, this is
+    empty: `derived_inclusions` reports them as passing without computing
+    them."""
+    helpful, rest, new = refinement_groups(pair, prop)
+    v = pair.concrete.space.universe()
+    p2, q2 = pair.concrete_of(prop.p), pair.concrete_of(prop.q)
+    glued_active = pair.concrete_of(prop.p & prop.q.complement())
+    inclusions = {
+        "rest-total": (v, str_apply(rest, v)),
+        "helpful-total": (v, str_apply(helpful, v)),
+        "new-total": (v, str_apply(new, v)),
+        "rest-keeps": (glued_active, str_apply(rest, p2 | q2)),
+        "helpful-establishes": (glued_active, str_apply(helpful, q2)),
+        "new-keeps": (glued_active, str_apply(new, p2 | q2)),
+    }
+    assert tuple(inclusions) == DRV_TAGS
+    return [tag for tag, (small, big) in inclusions.items() if not small.is_subset(big)]
 
 
 # ---------------------------------------------------------------------------

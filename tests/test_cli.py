@@ -250,6 +250,16 @@ def test_static_probe_defaults_are_well_formed(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("bound", ["0", "-3", "x"])
+def test_max_states_below_one_is_a_usage_error(capsys, bound):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["check", CTR, "--max-states", bound])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-states: " in err
+    assert ("invalid int value: 'x'" if bound == "x" else f"must be at least 1, not {bound}") in err
+
+
 def test_max_states_flag(capsys, tmp_path):
     model = tmp_path / "wide.fb"
     model.write_text(
@@ -396,6 +406,49 @@ def test_refine_hidden_block_escape_fails(capsys, tmp_path):
     ref = next(o for o in data["obligations"] if o["id"] == "REF:go2")
     assert ref["verdict"] == "fail"
     assert ref["witnesses"] == [{"state": "x=1", "bindings": {"x": 1}}]
+
+
+SPLIT_HELPFUL = """system a
+  var x : 0..1
+  event done when x = 0 then x := 1 end
+end
+property P ensures helpful {done} from x = 0 to x = 1
+refinement c refines a
+  var y : 0..3
+  gluing y = x or y = x + 2
+  event done0 refines done when y = 0 then y := 1 end
+  event done2 refines done when y = 2 then y := 1 end
+  event flip refines skip when FLIP end
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "flip, verdict, witnesses, narrative",
+    [
+        ("y = 0 or y = 2 then y := 2 - y", "fail", [{"state": "y=0", "bindings": {"y": 0}}],
+         "a weakly fair execution avoids the glued q"),
+        ("y = 2 then y := 0", "pass", [],
+         "concrete ensures P' holds by ENS, REF, SAP and LIP"),
+    ],
+    ids=["swap", "one-way"],
+)
+def test_split_helpful_event_keeps_the_glued_leadsto_check(
+    capsys, tmp_path, flip, verdict, witnesses, narrative
+):
+    # done is split into done0 and done2, each enabled in one copy of x = 0.
+    # Every gate passes, but when flip swaps the copies forever neither is
+    # continuously enabled, so a weakly fair run avoids the glued q
+    model = tmp_path / "split_helpful.fb"
+    model.write_text(SPLIT_HELPFUL.replace("FLIP", flip))
+    code, out = _run(capsys, "refine", str(model), "--pair", "c", "--format", "json")
+    assert code == (0 if verdict == "pass" else 1)
+    verdicts = {o["id"]: o for o in json.loads(out)["obligations"]}
+    gates = ["REF:done0", "REF:done2", "REF:flip", "SAP:P", "LIP-goal:P"]
+    assert all(verdicts[rid]["verdict"] == "pass" for rid in gates)
+    assert all(verdicts[rid]["verdict"] == "pass" for rid in verdicts if rid.startswith("DRV:"))
+    rens = verdicts["RENS:P"]
+    assert (rens["verdict"], rens["witnesses"], rens["narrative"]) == (verdict, witnesses, narrative)
 
 
 def test_refine_with_failing_abstract_property_skips_derived_inclusions(capsys, tmp_path):

@@ -15,6 +15,7 @@ from faircheck import (
     Prim,
     Seq,
     Skip,
+    SpaceMismatchError,
     StateRelation,
     StateSet,
     StateSpace,
@@ -45,6 +46,17 @@ def test_oracle_fixture_holds(ctr):
 def test_oracle_trivial_when_p_below_q(ctr):
     assert semantic_leadsto(ctr.system, ctr.q, ctr.q).holds
     assert semantic_leadsto(ctr.system, ctr.space.empty(), ctr.q).holds
+
+
+@pytest.mark.parametrize("operand", ["p", "q"])
+def test_oracle_names_the_mismatched_operand_space(ctr, operand):
+    other = StateSpace("w", 3)
+    sets = {"p": ctr.p, "q": ctr.q, operand: other.universe()}
+    with pytest.raises(SpaceMismatchError) as err:
+        semantic_leadsto(ctr.system, sets["p"], sets["q"])
+    assert err.value.left == other and err.value.right == ctr.space
+    message = "cannot operate on sets over distinct spaces 'w' (size 3) and 'u' (size 4)"
+    assert str(err.value) == message
 
 
 def test_oracle_without_helpful_event_finds_lasso(ctr):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import time
 from collections import Counter
@@ -26,7 +27,6 @@ from faircheck import (
     check_refined_ensures,
     check_sap,
     concrete_property,
-    derived_inclusions,
     discharge_lip_with_oracle,
     grd_of,
     lip_goal,
@@ -35,14 +35,18 @@ from faircheck import (
     split_system,
     str_apply,
 )
+from faircheck.cli import run_cli
 from helpers import (
+    ROOT,
     cosingleton_simulation_gaps,
+    derived_inclusion_failures,
     ensures_closure,
     exhaustive_simulation_gaps,
     random_command,
     random_event,
     random_subset,
     random_system,
+    refinement_groups,
     split_refinement,
 )
 
@@ -114,8 +118,7 @@ def test_identity_refinement_passes_everything(ctr):
     assert check_sap(pair, ens).passed
     goal = lip_goal(pair, ens)
     assert goal.lhs.is_empty()  # guard unchanged, nothing to reach
-    for report in derived_inclusions(pair, ens):
-        assert report.passed
+    assert derived_inclusion_failures(pair, ens) == []
     evidence = discharge_lip_with_oracle(pair, ens)
     assert evidence.holds
     final = check_refined_ensures(pair, ens, evidence)
@@ -184,13 +187,16 @@ def test_stutter_refinement_end_to_end(ctr):
     assert not goal.lhs.is_empty()  # the flag gate makes liveness real
     evidence = discharge_lip_with_oracle(pair, ens)
     assert evidence.holds
-    for report in derived_inclusions(pair, ens):
-        assert report.passed, report.id
     final = check_refined_ensures(pair, ens, evidence)
     assert final.passed
-    # the certified concrete property really is an ensures property
+    # the theorem behind the pass: the derived inclusions hold, the
+    # certified concrete property really is an ensures property and the
+    # glued leads-to holds
+    assert derived_inclusion_failures(pair, ens) == []
     cprop = concrete_property(pair, ens)
     assert check_ensures(pair.concrete, cprop).passed
+    p2, q2 = pair.concrete_of(ens.p), pair.concrete_of(ens.q)
+    assert semantic_leadsto(pair.concrete, p2, q2).holds
 
 
 def test_sap_violation_is_rejected_with_witness(ctr):
@@ -273,7 +279,7 @@ def test_partial_correctness_on_concrete_loop(ctr):
     # transformer of the concrete fair iteration at q'
     for pair in (_identity_pair(ctr), _stutter_pair(ctr)):
         ens = ctr.prop
-        helpful, rest, new = pair.groups(ens)
+        helpful, rest, new = refinement_groups(pair, ens)
         p2, q2 = pair.concrete_of(ens.p), pair.concrete_of(ens.q)
         loop = FairLoop(q2, helpful, Choice(rest.space, (rest, new)))
         assert (p2 | q2).is_subset(loop_liberal(loop, q2))
@@ -313,10 +319,14 @@ def test_generated_split_refinements_preserve_ensures():
             continue
         report = check_refined_ensures(pair, prop, evidence)
         assert report.passed, report.narrative
+        # the theorem behind the pass, computed: the derived inclusions,
+        # the concrete ensures property and the glued leads-to
+        assert derived_inclusion_failures(pair, prop) == []
+        assert check_ensures(pair.concrete, concrete_property(pair, prop)).passed
         p2, q2 = pair.concrete_of(prop.p), pair.concrete_of(prop.q)
         assert semantic_leadsto(pair.concrete, p2, q2).holds
         # partial correctness of the concrete fair iteration
-        helpful2, rest2, new2 = pair.groups(prop)
+        helpful2, rest2, new2 = refinement_groups(pair, prop)
         loop = FairLoop(q2, helpful2, Choice(rest2.space, (rest2, new2)))
         assert (p2 | q2).is_subset(loop_liberal(loop, q2))
         kept += 1
@@ -520,3 +530,30 @@ def test_refined_ensures_reads_gates_in_order(ctr, monkeypatch):
             report = check_refined_ensures(pair, ctr.prop, evidence)
         assert report.verdict == "hypothesis-failed"
         assert report.narrative == narrative
+
+
+def test_refine_decides_preservation_from_its_gates(monkeypatch, capsys):
+    # RENS and DRV are read off the gates: the one oracle call is the LIP
+    # goal's, and ensures properties are checked on the abstract system only
+    oracle_spaces, ensures_spaces = [], []
+
+    def counted(calls, check):
+        def call(sys, *args):
+            calls.append(sys.space.id)
+            return check(sys, *args)
+
+        return call
+
+    monkeypatch.setattr(refinement, "semantic_leadsto",
+                        counted(oracle_spaces, refinement.semantic_leadsto))
+    monkeypatch.setattr(refinement, "check_ensures",
+                        counted(ensures_spaces, refinement.check_ensures))
+    ctr = str(ROOT / "models" / "ctr.fb")
+    assert run_cli(["refine", ctr, "--pair", "ctr2", "--format", "json"]) == 0
+    entries = {e["id"]: e for e in json.loads(capsys.readouterr().out)["obligations"]}
+    assert oracle_spaces == ["ctr2"]
+    assert ensures_spaces and set(ensures_spaces) == {"ctr"}
+    assert entries["RENS:P1"]["narrative"] == "concrete ensures P1' holds by ENS, REF, SAP and LIP"
+    drv = [rid for rid in entries if rid.startswith("DRV:P1:")]
+    assert drv == [f"DRV:P1:{tag}" for tag in refinement.DRV_TAGS]
+    assert all(entries[rid]["verdict"] == "pass" for rid in drv)
