@@ -78,7 +78,6 @@ from .unity import (
     Unless,
     apply_rule,
     check_script,
-    check_thlto,
     check_unless,
     semantic_leadsto,
     trivial_ensures,

@@ -44,8 +44,8 @@ from .refinement import (
     derived_inclusions,
     discharge_lip_with_oracle,
 )
-from .reports import ReportDocument, ReportEntry, lasso_json
-from .unity import OracleResult, ScriptEnv, check_script, check_unless, semantic_leadsto
+from .reports import ReportDocument, lasso_json
+from .unity import OracleResult, check_script, check_unless, semantic_leadsto
 
 
 class _CliError(Exception):
@@ -109,42 +109,22 @@ def _refinement_reports(model: ElaboratedModel, pair_name: str, doc: ReportDocum
 
 def _script_report(model: ElaboratedModel, name: str, doc: ReportDocument) -> None:
     script = model.scripts[name]
-    env = ScriptEnv(model.owner(script.source).system)
-    for prop in model.properties.values():
-        if prop.source != script.source:
-            continue
-        if prop.kind == "ensures":
-            env.ensures[prop.name] = prop.as_ensures()
-        elif prop.kind == "unless":
-            env.unless[prop.name] = prop.as_unless()
-    env.ensures.update(script.extra_ensures)
     goal = model.properties[script.goal].as_leadsto()
-    outcome = check_script(env, script.script, goal)
+    outcome = check_script(script.env, script.script, goal)
     narrative = outcome.message
     if outcome.passed:
         narrative = f"derives {script.goal} in {len(script.script.steps)} steps"
-    doc.entries.append(
-        ReportEntry(f"SCRIPT:{name}", outcome.verdict, refs=[script.goal], narrative=narrative)
-    )
+    report = ObligationReport(f"SCRIPT:{name}", outcome.verdict, (), narrative, (script.goal,))
+    doc.add(report, model.owner(script.source))
 
 
 def _add_oracle_verdict(
     doc: ReportDocument, owner: ElaboratedSystem, verdict: OracleResult, rid: str,
     refs: tuple[str, ...], passed: str, target: str,
 ) -> None:
-    """One entry for a leads-to verdict of the oracle, whose narrative is
-    `passed` when it holds. A refutation names one state: the first cycle
-    state of its lasso, or the stuck state that ends its deadlock path."""
-    narrative, witnesses = passed, ()
-    if verdict.deadlock_path is not None:
-        narrative = f"a stuck state is reachable before {target}"
-        witnesses = verdict.deadlock_path[-1:]
-    elif verdict.lasso is not None:
-        narrative = f"a weakly fair execution avoids {target}"
-        witnesses = verdict.lasso.cycle[:1]
+    """One entry for a leads-to verdict of the oracle, with its lasso."""
     lasso = lasso_json(owner, verdict.lasso) if verdict.lasso is not None else None
-    status = "pass" if verdict.holds else "fail"
-    doc.add(ObligationReport(rid, status, witnesses, narrative, refs), owner, lasso=lasso)
+    doc.add(verdict.report(rid, refs, target, passed), owner, lasso=lasso)
 
 
 def _oracle_report(model: ElaboratedModel, name: str, doc: ReportDocument) -> None:

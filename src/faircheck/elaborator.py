@@ -16,8 +16,9 @@ never see an invariant-violating or unglued state.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .commands import MAX_CHECK_STATES, Command, Guard, Prim, conjunctivity_check
@@ -40,12 +41,13 @@ from .parser import (
     SystemDecl,
     UAny,
     UAssign,
+    UChoose,
     Update,
     VarDecl,
 )
 from .refinement import RefinementPair
 from .sets import StateRelation, StateSet, StateSpace
-from .unity import LeadsTo, ProofScript, ProofStep, Unless, trivial_ensures
+from .unity import LeadsTo, ProofScript, ProofStep, ScriptEnv, Unless, trivial_ensures
 
 DEFAULT_MAX_STATES = 1 << 20
 
@@ -156,11 +158,14 @@ class ElaboratedProperty:
 
 @dataclass
 class ElaboratedScript:
+    """A proof script with its premises: its owner's ensures and unless
+    properties, and the generated ensures of its inline brl steps."""
+
     name: str
     goal: str
     source: str
     script: ProofScript
-    extra_ensures: dict[str, EnsuresProperty] = field(default_factory=dict)
+    env: ScriptEnv
 
 
 @dataclass
@@ -335,31 +340,48 @@ def _check_document(doc: ModelDocument) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _choice_count(updates: tuple[Update, ...]) -> int:
+    """The post-states the event's assignment list (inside its any-blocks)
+    enumerates per pre-state when it has a choice update: the product of
+    the option counts. 0 when it has none, so deterministic events charge
+    nothing to the budget."""
+    while isinstance(updates[0], UAny):
+        updates = updates[0].updates
+    counts = [len(u.options) for u in updates if isinstance(u, UChoose)]
+    return math.prod(counts) if counts else 0
+
+
+def _charge(budget: list[int], cost: int, context: str, what: str) -> None:
+    budget[0] += cost
+    if budget[0] > budget[1]:
+        raise ElaborationError(f"{context}: {what} than the {budget[1]}-state bound")
+
+
 def _successor_bindings(
     updates: tuple[Update, ...],
     env: dict[str, int],
     names: list[str],
     context: str,
     budget: list[int],
+    choices: int,
 ) -> list[tuple[int, ...]]:
     """All post-states of one event from one pre-state, as value tuples in
     declaration order; right-hand sides all read the pre-state (simultaneous
     update). budget is [spent, bound] of the (state, binder value) pairs the
-    event's any-blocks enumerate."""
+    event's any-blocks enumerate and the (state, successor) pairs its choice
+    updates enumerate, choices per assignment list (`_choice_count`)."""
     u = updates[0]
     if isinstance(u, UAny):  # the static checks made it the only update
-        budget[0] += max(u.hi - u.lo + 1, 0)
-        if budget[0] > budget[1]:
-            raise ElaborationError(
-                f"{context}: any-blocks enumerate more (state, value) pairs "
-                f"than the {budget[1]}-state bound"
-            )
+        _charge(budget, max(u.hi - u.lo + 1, 0), context,
+                "any-blocks enumerate more (state, value) pairs")
         out: list[tuple[int, ...]] = []
         for z in range(u.lo, u.hi + 1):
             bound = {**env, u.var: z}
             if eval_pred(u.where, bound):
-                out += _successor_bindings(u.updates, bound, names, context, budget)
+                out += _successor_bindings(u.updates, bound, names, context, budget, choices)
         return out
+    if choices:
+        _charge(budget, choices, context, "choice updates enumerate more (state, successor) pairs")
     targets = [u.var for u in updates]
     options = [
         [eval_expr(u.value, env)] if isinstance(u, UAssign)
@@ -432,12 +454,12 @@ def _elaborate_block(
         context = f"{decl.name}.{event.name}"
         guard_members = []
         pairs: list[tuple[int, int]] = []
-        budget = [0, max_states]
+        budget, choices = [0, max_states], _choice_count(event.updates)
         for i, env in enumerate(envs):
             if not eval_pred(event.guard, env):
                 continue
             guard_members.append(i)
-            for key in _successor_bindings(event.updates, env, names, context, budget):
+            for key in _successor_bindings(event.updates, env, names, context, budget, choices):
                 j = index_of.get(key)
                 if j is None:
                     raise ElaborationError(
@@ -493,8 +515,12 @@ def elaborate(doc: ModelDocument, max_states: int = DEFAULT_MAX_STATES) -> Elabo
     scripts: dict[str, ElaboratedScript] = {}
     for prdecl in doc.proofs:
         source = properties[prdecl.goal].source
-        owner = owners[source]
-        extra: dict[str, EnsuresProperty] = {}
+        env = ScriptEnv(owners[source].system)
+        for prop in properties.values():
+            if prop.source == source and prop.kind == "ensures":
+                env.ensures[prop.name] = prop.as_ensures()
+            elif prop.source == source and prop.kind == "unless":
+                env.unless[prop.name] = prop.as_unless()
         steps = []
         for sdecl in prdecl.steps:
             conclusion = None
@@ -504,11 +530,11 @@ def elaborate(doc: ModelDocument, max_states: int = DEFAULT_MAX_STATES) -> Elabo
             refs = sdecl.refs
             if sdecl.rule == "brl" and not refs:  # an inline conclusion, by the static checks
                 gen = f"{prdecl.name}:{sdecl.name}"
-                extra[gen] = trivial_ensures(owner.system, gen, conclusion.lhs, conclusion.rhs)
+                env.ensures[gen] = trivial_ensures(env.system, gen, conclusion.lhs, conclusion.rhs)
                 refs = (gen,)
             steps.append(ProofStep(sdecl.name, sdecl.rule, refs, conclusion))
         script = ProofScript(prdecl.name, tuple(steps))
-        scripts[prdecl.name] = ElaboratedScript(prdecl.name, prdecl.goal, source, script, extra)
+        scripts[prdecl.name] = ElaboratedScript(prdecl.name, prdecl.goal, source, script, env)
 
     state_count = sum(s.space.size for s in owners.values())
     return ElaboratedModel(systems, refinements, properties, scripts, state_count)

@@ -233,6 +233,8 @@ def check_refined_ensures(
     several refined helpful events can keep the group enabled while none
     stays enabled (`test_cli.py::test_split_helpful_event_keeps_the_glued_leadsto_check`);
     there the oracle decides the glued leads-to, and its refutation fails.
+    That refutation is a lasso: a run avoiding the glued q stays in the
+    glued active set (DRV), where a stuck state would refute LIP.
     """
     rid = f"RENS:{prop.name}"
     refs = (prop.name,)
@@ -257,10 +259,6 @@ def check_refined_ensures(
     if len(rp.helpful_labels(prop)) > 1:
         leads = semantic_leadsto(rp.concrete, rp.concrete_of(prop.p), rp.concrete_of(prop.q))
         if not leads.holds:
-            # one state, as for an oracle verdict: the lasso's first cycle
-            # state, or the stuck state that ends a deadlock path
-            stuck = leads.lasso.cycle[:1] if leads.lasso else leads.deadlock_path[-1:]
-            narrative = "a weakly fair execution avoids the glued q"
-            return ObligationReport(rid, "fail", stuck, narrative, refs)
+            return leads.report(rid, refs, "the glued q")
     narrative = f"concrete ensures {prop.name}' holds by ENS, REF, SAP and LIP"
     return ObligationReport(rid, "pass", narrative=narrative, refs=refs)

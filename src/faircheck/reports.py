@@ -66,20 +66,11 @@ def lasso_json(system: ElaboratedSystem, lasso: FairLasso) -> dict[str, Any]:
 
 
 @dataclass
-class ReportEntry:
-    id: str
-    verdict: str
-    witnesses: list[dict[str, Any]] = field(default_factory=list)
-    refs: list[str] = field(default_factory=list)
-    narrative: str = ""
-    lasso: dict[str, Any] | None = None
-    witness_count: int | None = None  # the total, when witnesses were cut
-
-
-@dataclass
 class ReportDocument:
+    """The report's lines, each kept as the JSON item it prints."""
+
     model: str
-    entries: list[ReportEntry] = field(default_factory=list)
+    items: list[dict[str, Any]] = field(default_factory=list)
 
     def add(
         self,
@@ -87,50 +78,41 @@ class ReportDocument:
         system: ElaboratedSystem,
         lasso: dict[str, Any] | None = None,
     ) -> None:
-        total = len(report.witnesses)
         witnesses = state_witnesses(system, report)
-        count = total if total > len(witnesses) else None
-        self.entries.append(ReportEntry(
-            report.id, report.verdict, witnesses, list(report.refs), report.narrative, lasso, count
-        ))
+        item: dict[str, Any] = {
+            "id": report.id,
+            "verdict": report.verdict,
+            "witnesses": witnesses,
+            "refs": list(report.refs),
+        }
+        if len(report.witnesses) > len(witnesses):
+            item["witness_count"] = len(report.witnesses)
+        if report.narrative:
+            item["narrative"] = report.narrative
+        if lasso is not None:
+            item["lasso"] = lasso
+        self.items.append(item)
 
     @property
     def all_passed(self) -> bool:
-        return all(e.verdict == "pass" for e in self.entries)
-
-    def to_json(self) -> dict[str, Any]:
-        obligations = []
-        for e in self.entries:
-            item: dict[str, Any] = {
-                "id": e.id,
-                "verdict": e.verdict,
-                "witnesses": e.witnesses,
-                "refs": e.refs,
-            }
-            if e.witness_count is not None:
-                item["witness_count"] = e.witness_count
-            if e.narrative:
-                item["narrative"] = e.narrative
-            if e.lasso is not None:
-                item["lasso"] = e.lasso
-            obligations.append(item)
-        return {"version": REPORT_VERSION, "model": self.model, "obligations": obligations}
+        return all(item["verdict"] == "pass" for item in self.items)
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=False) + "\n"
+        document = {"version": REPORT_VERSION, "model": self.model, "obligations": self.items}
+        return json.dumps(document, indent=2, sort_keys=False) + "\n"
 
     def to_text(self) -> str:
         lines = [f"faircheck report v{REPORT_VERSION}", f"model: {self.model}"]
-        for e in self.entries:
-            line = f"{e.id:<28} {e.verdict}"
-            if e.witnesses:
-                shown = ", ".join(w["state"] for w in e.witnesses[:4])
+        for item in self.items:
+            line = f"{item['id']:<28} {item['verdict']}"
+            if item["witnesses"]:
+                shown = ", ".join(w["state"] for w in item["witnesses"][:4])
                 line += f"  [{shown}]"
             lines.append(line)
-            if e.narrative and e.verdict != "pass":
-                lines.append(f"    {e.narrative}")
-        passed = sum(1 for e in self.entries if e.verdict == "pass")
-        lines.append(f"summary: {passed}/{len(self.entries)} obligations passed")
+            if "narrative" in item and item["verdict"] != "pass":
+                lines.append(f"    {item['narrative']}")
+        passed = sum(1 for item in self.items if item["verdict"] == "pass")
+        lines.append(f"summary: {passed}/{len(self.items)} obligations passed")
         return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,7 @@ lasso; absence of both means the property holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .commands import Command, Guard, Prim, grd_of, memo_on_owner, str_apply, transition_relation
 from .obligations import (
@@ -214,24 +214,6 @@ def apply_rule(
     raise RuleError(step.name, f"unknown rule {step.rule!r}")
 
 
-def check_thlto(
-    premise: LeadsTo, members: Sequence[StateSet], qset: StateSet | None = None
-) -> list[LeadsTo]:
-    """Instantiate a quantified-left premise on each member of a family.
-
-    The premise's left set is the union of the family (intersected with the
-    shared conjunct when given); every member yields its own goal.
-    """
-    conj = qset if qset is not None else premise.lhs.space.universe()
-    goals = []
-    for i, m in enumerate(members):
-        lhs = m & conj
-        if not lhs.is_subset(premise.lhs):
-            raise ValueError(f"family member {i} exceeds the quantified premise")
-        goals.append(LeadsTo(lhs, premise.rhs, f"{premise.name}[{i}]"))
-    return goals
-
-
 @dataclass(frozen=True)
 class ScriptReport:
     verdict: str  # pass | fail
@@ -327,6 +309,21 @@ class OracleResult:
 
     def __bool__(self) -> bool:
         return self.holds
+
+    def report(
+        self, rid: str, refs: tuple[str, ...], target: str, passed: str = ""
+    ) -> ObligationReport:
+        """This verdict as obligation rid, whose narrative is passed when it
+        holds. A refutation names one state: the first cycle state of its
+        lasso, or the stuck state that ends its deadlock path; its narrative
+        names the target."""
+        if self.holds:
+            return ObligationReport(rid, "pass", narrative=passed, refs=refs)
+        if self.lasso is not None:
+            narrative = f"a weakly fair execution avoids {target}"
+            return ObligationReport(rid, "fail", self.lasso.cycle[:1], narrative, refs)
+        narrative = f"a stuck state is reachable before {target}"
+        return ObligationReport(rid, "fail", self.deadlock_path[-1:], narrative, refs)
 
 
 def _bfs_path(adj: Mapping[int, list[int]], sources: Iterable[int], target: int) -> list[int]:

@@ -380,15 +380,8 @@ def test_criterion_08_unity_soundness_and_fixture_script():
     model = elaborate(parsed.document)
     script = model.scripts["main"]
     owner = model.refinements["ctr2"].concrete
-    env2 = ScriptEnv(owner.system)
-    for prop in model.properties.values():
-        if prop.source == "ctr2" and prop.kind == "ensures":
-            env2.ensures[prop.name] = prop.as_ensures()
-        elif prop.source == "ctr2" and prop.kind == "unless":
-            env2.unless[prop.name] = prop.as_unless()
-    env2.ensures.update(script.extra_ensures)
     goal = model.properties["P2"].as_leadsto()
-    outcome = check_script(env2, script.script, goal)
+    outcome = check_script(script.env, script.script, goal)
     script_ok = outcome.passed and len(script.script.steps) == 13
     for _, concl in outcome.conclusions:
         if not semantic_leadsto(owner.system, concl.lhs, concl.rhs).holds:

@@ -141,10 +141,12 @@ def test_missing_file_exit_code(capsys):
     assert run_cli(["check", "no-such-file.fb"]) == 2
 
 
-def _diagnostics(tmp_path, capsys, text: str, *options: str) -> list[str]:
+def _diagnostics(
+    tmp_path, capsys, text: str, *options: str, command: str = "report"
+) -> list[str]:
     path = tmp_path / "hostile.fb"
     path.write_text(text, encoding="utf-8")
-    code = run_cli(["report", str(path), *options])
+    code = run_cli([command, str(path), *options])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     return [line.replace(str(path), "M") for line in captured.err.splitlines()]
@@ -172,6 +174,97 @@ def test_undecodable_file_is_a_read_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"cannot read {path}: 'utf-8' codec can't decode")
+
+
+SMALL = "system s\n var x : 0..1\n event e when x = 0 then x := 1 end\nend\n"
+SMALL_REFINEMENT = (
+    "refinement r refines s\n var y : 0..1\n gluing y = x\n"
+    " event f refines e when y = 0 then y := 1 end\nend\n"
+)
+SMALL_LEADSTO = "property P leadsto from x = 0 to x = 1\n"
+SMALL_PROOF = "proof m goal P\n step a brl from x = 0 to x = 1\nend\n"
+SMALL_ENSURES = "property P ensures helpful {e} from x = 0 to x = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, options, command, diagnostic",
+    [
+        (SMALL.replace("0..1", "1..0"), (), "report", "M: s: empty range for variable 'x'"),
+        (
+            SMALL.replace("0..1", "0..2"), ("--max-states", "2"), "report",
+            "M: s: state space exceeds the 2-state bound",
+        ),
+        (
+            SMALL.replace("x := 1", "any z : 0..1 where true then x := z end; x := 0"), (),
+            "report", "M: s.e: an any-update must be the only update",
+        ),
+        (
+            SMALL + SMALL_REFINEMENT.replace("var y", "var x"), (), "report",
+            "M: r: concrete variables shadow abstract ones: ['x']",
+        ),
+        (
+            SMALL + SMALL_REFINEMENT.replace("refines s", "refines t"), (), "report",
+            "M: r: refines unknown system 't'",
+        ),
+        (
+            SMALL + SMALL_REFINEMENT.replace(" gluing y = x\n", ""), (), "report",
+            "M: r: a refinement needs a gluing predicate",
+        ),
+        (SMALL.replace(" var x : 0..1\n", ""), (), "report", "M: s: no variables declared"),
+        (
+            SMALL.replace(" event e when x = 0 then x := 1 end\n", ""), (), "report",
+            "M: s: no events declared",
+        ),
+        (SMALL + SMALL, (), "report", "M: duplicate system 's'"),
+        (
+            SMALL + SMALL_REFINEMENT.replace("refinement r", "refinement s"), (), "report",
+            "M: duplicate declaration 's'",
+        ),
+        (SMALL + SMALL_LEADSTO * 2, (), "report", "M: duplicate property 'P'"),
+        (
+            SMALL + SMALL_LEADSTO + SMALL_PROOF * 2, (), "report",
+            "M: duplicate proof 'm'",
+        ),
+        (
+            SMALL + SMALL_LEADSTO + SMALL_PROOF.replace("goal P", "goal Q"), (), "report",
+            "M: m: goal 'Q' is not a property",
+        ),
+        (
+            SMALL + SMALL_ENSURES + SMALL_PROOF, (), "report",
+            "M: m: goal 'P' is not a leadsto property",
+        ),
+        (
+            SMALL + SMALL_ENSURES.replace("{e}", "{f}"), (), "report",
+            "M: P: helpful events not in 's': ['f']",
+        ),
+        (
+            SMALL + SMALL_LEADSTO + SMALL_PROOF.replace(" from x = 0 to x = 1", ""), (),
+            "report", "M: m.a: brl needs a property name or an inline conclusion",
+        ),
+        (
+            SMALL.replace("0..1", "0..2\n invariant x < 2").replace("x = 0", "x = 1")
+            .replace("x := 1", "x := 2"),
+            (), "report",
+            "M: s.e: from state x=1 the event reaches x=2, which violates the invariant",
+        ),
+        (
+            SMALL + SMALL_LEADSTO + "proof m goal P\nend\n", (), "report",
+            "M:6:1: error: proof 'm' has no steps",
+        ),
+        (SMALL + SMALL_LEADSTO, ("--pair", "r"), "refine", "unknown refinement pair 'r'"),
+        (SMALL + SMALL_LEADSTO, ("--script", "m"), "prove", "unknown proof script 'm'"),
+        (SMALL, ("--property", "P"), "oracle", "unknown property 'P'"),
+    ],
+    ids=[
+        "empty-range", "state-bound", "any-not-alone", "shadowing", "unknown-system",
+        "no-gluing", "no-variables", "no-events", "duplicate-system", "duplicate-declaration",
+        "duplicate-property", "duplicate-proof", "unknown-goal", "goal-not-leadsto",
+        "unknown-helpful", "bare-brl", "invariant-escape", "proof-without-steps",
+        "unknown-pair", "unknown-script", "unknown-property",
+    ],
+)
+def test_each_rejected_model_names_its_fault(tmp_path, capsys, text, options, command, diagnostic):
+    assert _diagnostics(tmp_path, capsys, text, *options, command=command) == [diagnostic]
 
 
 STATIC_PROBE = """system s
@@ -288,6 +381,17 @@ refinement c refines a
 end
 """
 
+# four two-valued variables, each chosen from 100 options: 10**8 successors
+# of every state
+_OPTIONS = ", ".join(["0, 1"] * 50)
+HOSTILE_CHOICE = (
+    "system s\n"
+    + "".join(f" var x{i} : 0..1\n" for i in range(4))
+    + " event pick when true then "
+    + "; ".join(f"x{i} :: {{{_OPTIONS}}}" for i in range(4))
+    + " end\nend\n"
+)
+
 
 @pytest.mark.parametrize(
     "text, diagnostic",
@@ -303,6 +407,12 @@ end
             f"c: the gluing evaluates {2048 * 2048} (concrete, abstract) pairs, "
             f"more than the {1 << 20}-state bound",
             id="gluing",
+        ),
+        pytest.param(
+            HOSTILE_CHOICE,
+            f"s.pick: choice updates enumerate more (state, successor) pairs than the "
+            f"{1 << 20}-state bound",
+            id="choice",
         ),
     ],
 )

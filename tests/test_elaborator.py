@@ -235,8 +235,17 @@ def test_scripts_elaborate_with_generated_weakenings():
     script = model.scripts["main"]
     assert script.goal == "P2"
     assert script.source == "ctr2"
-    # inline brl steps generated their own trivial ensures properties
-    assert any(name.startswith("main:") for name in script.extra_ensures)
+    env = script.env
+    assert env.system is model.refinements["ctr2"].concrete.system
+    # the owner's ensures and unless properties, not the abstract system's,
+    # and one trivial ensures property per inline brl step
+    assert list(env.ensures) == [
+        "E_stutter", "E_help", "main:s5", "main:s8w", "main:s11", "main:s14"
+    ]
+    assert env.ensures["E_help"] == model.properties["E_help"].as_ensures()
+    assert env.ensures["main:s5"].helpful == frozenset(env.system.labels)
+    assert list(env.unless) == ["U29"]
+    assert script.script.steps[1].refs == ("main:s5",)
 
 
 def _chain(rng: random.Random, terms: int, ops: tuple[str, ...], operand) -> str:

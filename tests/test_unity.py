@@ -14,7 +14,6 @@ from faircheck import (
     Unless,
     apply_rule,
     check_script,
-    check_thlto,
     check_unless,
     semantic_leadsto,
     trivial_ensures,
@@ -152,24 +151,6 @@ def test_thlto_rule_and_op(ctr):
     overflow = LeadsTo(space.subset([0, 1]), ctr.q, "s")
     with pytest.raises(RuleError):
         apply_rule(env, ProofStep("s", "thlto", ("a",), overflow), prior)
-
-    premise = LeadsTo(space.subset([1, 2]), ctr.q, "fam")
-    goals = check_thlto(premise, [space.subset([1]), space.subset([2])])
-    assert [g.lhs.members() for g in goals] == [(1,), (2,)]
-    # singleton family reproduces the premise
-    same = check_thlto(premise, [space.subset([1, 2])])
-    assert same[0].same_sets(premise)
-    with pytest.raises(ValueError):
-        check_thlto(premise, [space.subset([0])])
-
-
-def test_thlto_with_shared_conjunct(ctr):
-    space = ctr.space
-    qset = space.subset([1, 3])
-    premise = LeadsTo(space.subset([1, 2]) & qset, ctr.q, "fam")
-    goals = check_thlto(premise, [space.subset([1]), space.subset([2])], qset)
-    assert goals[0].lhs == space.subset([1])
-    assert goals[1].lhs.is_empty()
 
 
 def test_check_script_fixture_chain(ctr):
