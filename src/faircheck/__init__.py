@@ -55,15 +55,14 @@ from .obligations import (
     split_system,
 )
 from .refinement import (
-    LipEvidence,
     RefinementPair,
     check_all_event_refinements,
     check_event_refinement,
+    check_lip,
     check_refined_ensures,
     check_sap,
     concrete_property,
     derived_inclusions,
-    discharge_lip_with_oracle,
     lip_goal,
 )
 from .sets import SpaceMismatchError, StateRelation, StateSet, StateSpace

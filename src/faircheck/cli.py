@@ -6,7 +6,8 @@ Subcommands:
                              preservation, derived inclusions, preserved
                              ensures for one refinement pair
     prove  FILE --script NAME  run one proof script against its goal
-    oracle FILE --property NAME  semantic leads-to verdict for one property
+    oracle FILE --property NAME  semantic leads-to verdict for one leadsto
+                             or ensures property
     report FILE              everything above, consolidated
 
 Exit codes: 0 all obligations passed, 1 some obligation failed,
@@ -31,7 +32,6 @@ from .elaborator import (
 from .obligations import (
     EngineDefect,
     ModelError,
-    ObligationReport,
     check_ensures,
     check_wf0,
     check_wf1,
@@ -39,10 +39,10 @@ from .obligations import (
 from .parser import parse_document
 from .refinement import (
     check_all_event_refinements,
+    check_lip,
     check_refined_ensures,
     check_sap,
     derived_inclusions,
-    discharge_lip_with_oracle,
 )
 from .reports import ReportDocument, lasso_json
 from .unity import OracleResult, check_script, check_unless, semantic_leadsto
@@ -97,25 +97,19 @@ def _refinement_reports(model: ElaboratedModel, pair_name: str, doc: ReportDocum
     for prop in ensures_props:
         ens = prop.as_ensures()
         doc.add(check_sap(pair, ens), concrete)
-        evidence = discharge_lip_with_oracle(pair, ens)
         _add_oracle_verdict(
-            doc, concrete, evidence.oracle, f"LIP-goal:{prop.name}", (prop.name, pair_name),
+            doc, concrete, check_lip(pair, ens), f"LIP-goal:{prop.name}", (prop.name, pair_name),
             "discharged by the semantic oracle", "the refined helpful guard",
         )
         for report in derived_inclusions(pair, ens):
             doc.add(report, concrete)
-        doc.add(check_refined_ensures(pair, ens, evidence), concrete)
+        doc.add(check_refined_ensures(pair, ens), concrete)
 
 
 def _script_report(model: ElaboratedModel, name: str, doc: ReportDocument) -> None:
     script = model.scripts[name]
     goal = model.properties[script.goal].as_leadsto()
-    outcome = check_script(script.env, script.script, goal)
-    narrative = outcome.message
-    if outcome.passed:
-        narrative = f"derives {script.goal} in {len(script.script.steps)} steps"
-    report = ObligationReport(f"SCRIPT:{name}", outcome.verdict, (), narrative, (script.goal,))
-    doc.add(report, model.owner(script.source))
+    doc.add(check_script(script.env, script.script, goal), model.owner(script.source))
 
 
 def _add_oracle_verdict(
@@ -182,6 +176,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         elif args.command == "oracle":
             if args.property not in model.properties:
                 raise _CliError(f"unknown property {args.property!r}")
+            if model.properties[args.property].kind == "unless":
+                raise _CliError(f"property {args.property!r} is an unless property;"
+                                " the oracle decides leadsto and ensures properties")
             _oracle_report(model, args.property, doc)
         elif args.command == "report":
             _property_reports(model, doc)

@@ -6,13 +6,12 @@ concrete event either refines a named abstract event or refines skip (a
 new event). Preservation of an abstract ensures property needs the
 per-event simulation conditions, one safety obligation (the other events
 keep the refined helpful guard) and one liveness obligation (the system
-reaches the refined helpful guard), the latter discharged by a proof
-script or by the semantic oracle.
+reaches the refined helpful guard), the latter decided by the semantic
+oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .commands import grd_of, memo_on_owner, str_apply
@@ -30,7 +29,8 @@ from .unity import LeadsTo, OracleResult, event_edges, semantic_leadsto
 
 class RefinementPair:
     """Abstract and concrete systems linked by a gluing relation. The
-    simulation and safety-preservation checks memoise their verdicts on it."""
+    simulation, safety- and liveness-preservation checks memoise their
+    verdicts on it."""
 
     def __init__(
         self,
@@ -185,22 +185,12 @@ def lip_goal(rp: RefinementPair, prop: EnsuresProperty) -> LeadsTo:
     return LeadsTo(lhs, guard, f"LIP:{prop.name}")
 
 
-@dataclass(frozen=True)
-class LipEvidence:
-    """A discharged liveness-preservation goal: oracle verdict or a checked
-    proof script, together with the goal it certifies and, from the oracle,
-    its whole result (a refutation's lasso or deadlock path)."""
-
-    goal: LeadsTo
-    holds: bool
-    source: str  # "oracle" | "script:<name>"
-    oracle: OracleResult | None = None
-
-
-def discharge_lip_with_oracle(rp: RefinementPair, prop: EnsuresProperty) -> LipEvidence:
+@memo_on_owner
+def check_lip(rp: RefinementPair, prop: EnsuresProperty) -> OracleResult:
+    """The oracle's verdict on the liveness preservation goal, with its
+    lasso or deadlock path when it fails."""
     goal = lip_goal(rp, prop)
-    verdict = semantic_leadsto(rp.concrete, goal.lhs, goal.rhs)
-    return LipEvidence(goal, verdict.holds, "oracle", verdict)
+    return semantic_leadsto(rp.concrete, goal.lhs, goal.rhs)
 
 
 def concrete_property(rp: RefinementPair, prop: EnsuresProperty) -> EnsuresProperty:
@@ -213,15 +203,14 @@ def concrete_property(rp: RefinementPair, prop: EnsuresProperty) -> EnsuresPrope
     return EnsuresProperty(f"{prop.name}'", labels, p2, q2)
 
 
-def check_refined_ensures(
-    rp: RefinementPair, prop: EnsuresProperty, lip: LipEvidence | None
-) -> ObligationReport:
+def check_refined_ensures(rp: RefinementPair, prop: EnsuresProperty) -> ObligationReport:
     """Certify preservation of an abstract ensures property.
 
-    The gates are those of the derived inclusions, then `SAP:<p>`, checked
-    in that order; their verdicts are memoised on the abstract system and
-    on the pair, so gates already decided are not decided again. A failing
-    gate, or missing liveness evidence, yields hypothesis-failed.
+    The gates are those of the derived inclusions, then `SAP:<p>`, then
+    the oracle's LIP verdict (`check_lip`), checked in that order; their
+    verdicts are memoised on the abstract system and on the pair, so gates
+    already decided are not decided again. A failing gate yields
+    hypothesis-failed.
 
     Otherwise the concrete ensures property of `concrete_property` holds by
     the preservation theorem, and so does the glued leads-to when one
@@ -248,13 +237,8 @@ def check_refined_ensures(
     sap = check_sap(rp, prop)
     if not sap.passed:
         return blocked("safety preservation failed", sap.witnesses)
-    goal = lip_goal(rp, prop)
-    if lip is None:
-        return blocked("liveness preservation goal has no evidence")
-    if not lip.goal.same_sets(goal):
-        return blocked("liveness evidence certifies a different goal")
-    if not lip.holds:
-        return blocked(f"liveness preservation goal failed ({lip.source})")
+    if not check_lip(rp, prop).holds:
+        return blocked("liveness preservation goal failed (oracle)")
 
     if len(rp.helpful_labels(prop)) > 1:
         leads = semantic_leadsto(rp.concrete, rp.concrete_of(prop.p), rp.concrete_of(prop.q))

@@ -4,7 +4,9 @@ A leads-to goal is derived by a finite script of rule applications over
 extensional sets (the frontend maps predicate syntax to sets before any
 script runs). Basic steps enter through the ensures gate only: a brl step
 must reference an ensures property that passes its two proof obligations,
-never a raw assertion.
+never a raw assertion, and whose helpful group is one event or the whole
+system, the groups whose ensures implies leads-to under per-event weak
+fairness.
 
 The oracle is independent of the rule system: it decides whether every
 weakly fair execution from the left set reaches the right set, by searching
@@ -143,6 +145,12 @@ def apply_rule(
         if ref not in env.ensures:
             raise RuleError(step.name, f"{ref!r} does not name an ensures property")
         prop = env.ensures[ref]
+        # weak fairness is per event: a group of several helpful events may
+        # take turns being enabled, so that none stays enabled and fires
+        if len(prop.helpful) > 1 and prop.helpful != set(env.system.labels):
+            raise RuleError(
+                step.name, f"the helpful events of {ref!r} are not one event or the whole system"
+            )
         if not check_ensures(env.system, prop).passed:
             raise RuleError(step.name, f"ensures property {ref!r} has not passed its obligations")
         return settle(LeadsTo(prop.p, prop.q))
@@ -214,38 +222,27 @@ def apply_rule(
     raise RuleError(step.name, f"unknown rule {step.rule!r}")
 
 
-@dataclass(frozen=True)
-class ScriptReport:
-    verdict: str  # pass | fail
-    failed_step: str | None = None
-    message: str = ""
-    conclusions: tuple[tuple[str, LeadsTo], ...] = ()
+def check_script(env: ScriptEnv, script: ProofScript, goal: LeadsTo) -> ObligationReport:
+    """`SCRIPT:<name>`: run every step in order; pass iff all steps apply
+    and the last conclusion equals the goal as sets. A failure's narrative
+    is the first rule error, or why the script does not derive the goal."""
+    rid, refs = f"SCRIPT:{script.name}", (goal.name,)
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
+    def failed(narrative: str) -> ObligationReport:
+        return ObligationReport(rid, "fail", narrative=narrative, refs=refs)
 
-
-def check_script(env: ScriptEnv, script: ProofScript, goal: LeadsTo) -> ScriptReport:
-    """Run every step in order; pass iff all steps apply and the last
-    conclusion equals the goal as sets."""
-    prior: dict[str, LeadsTo] = {}
-    order: list[tuple[str, LeadsTo]] = []
     if not script.steps:
-        return ScriptReport("fail", None, "script has no steps")
+        return failed("script has no steps")
+    prior: dict[str, LeadsTo] = {}
     for step in script.steps:
         try:
-            concl = apply_rule(env, step, prior)
+            prior[step.name] = apply_rule(env, step, prior)
         except RuleError as err:
-            return ScriptReport("fail", step.name, str(err))
-        prior[step.name] = concl
-        order.append((step.name, concl))
-    last = order[-1][1]
-    if not last.same_sets(goal):
-        return ScriptReport(
-            "fail", order[-1][0], "final conclusion differs from the script goal"
-        )
-    return ScriptReport("pass", conclusions=tuple(order))
+            return failed(str(err))
+    if not prior[script.steps[-1].name].same_sets(goal):
+        return failed("final conclusion differs from the script goal")
+    narrative = f"derives {goal.name} in {len(script.steps)} steps"
+    return ObligationReport(rid, "pass", narrative=narrative, refs=refs)
 
 
 # ---------------------------------------------------------------------------

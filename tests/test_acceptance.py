@@ -22,6 +22,7 @@ from faircheck import (
     Prim,
     ProofStep,
     RefinementPair,
+    RuleError,
     ScriptEnv,
     SetFunction,
     StateRelation,
@@ -30,12 +31,12 @@ from faircheck import (
     Unless,
     apply_rule,
     check_all_event_refinements,
+    check_lip,
     check_refined_ensures,
     check_sap,
     check_script,
     check_unless,
     conjunctivity_check,
-    discharge_lip_with_oracle,
     gfp,
     grd_of,
     lfp,
@@ -294,10 +295,9 @@ def test_criterion_07_refinement_soundness():
             continue
         if not check_sap(pair, prop).passed:
             continue
-        evidence = discharge_lip_with_oracle(pair, prop)
-        if not evidence.holds:
+        if not check_lip(pair, prop).holds:
             continue
-        report = check_refined_ensures(pair, prop, evidence)
+        report = check_refined_ensures(pair, prop)
         p2, q2 = pair.concrete_of(prop.p), pair.concrete_of(prop.q)
         confirmed = semantic_leadsto(pair.concrete, p2, q2).holds
         if not (report.passed and confirmed):
@@ -318,11 +318,10 @@ def test_criterion_07_refinement_soundness():
     gluing = StateRelation(v, space, [(0, 0), (1, 1), (2, 1), (3, 2), (4, 3)])
     bad = RefinementPair(abstract, concrete, gluing, {"inc2": "inc", "done2": "done", "tick": None})
     sap = check_sap(bad, aprop)
-    evidence = discharge_lip_with_oracle(bad, aprop)
     rejected = (
         sap.verdict == "fail"
         and len(sap.witnesses) > 0
-        and check_refined_ensures(bad, aprop, evidence).verdict
+        and check_refined_ensures(bad, aprop).verdict
         == "hypothesis-failed"
     )
     _report(
@@ -338,6 +337,9 @@ def test_criterion_08_unity_soundness_and_fixture_script():
     rng = random.Random(107)
     accepted = 0
     violations = 0
+    # brl takes a helpful group of one event or the whole system; a proper
+    # group of several events is a rule error, whatever its ensures verdict
+    rejected = misjudged = 0
     while accepted < 200:
         gsys = random_system(rng, rng.randint(2, 5), rng.randint(1, 3))
         sys = gsys.system
@@ -365,6 +367,14 @@ def test_criterion_08_unity_soundness_and_fixture_script():
         steps.append(ProofStep("c", "can", ("t", "b1"), can_concl))
         member = StateSet(space, base.p.mask & rng.getrandbits(space.size))
         steps.append(ProofStep("m", "thlto", ("b0",), LeadsTo(member, base.q, "m")))
+        proper = 1 < len(k) < len(sys.labels)
+        try:
+            apply_rule(env, steps[0])
+        except RuleError:
+            rejected += 1
+            misjudged += not proper
+            continue
+        misjudged += proper
         for step in steps:
             concl = apply_rule(env, step, prior)
             prior[step.name] = concl
@@ -381,15 +391,18 @@ def test_criterion_08_unity_soundness_and_fixture_script():
     script = model.scripts["main"]
     owner = model.refinements["ctr2"].concrete
     goal = model.properties["P2"].as_leadsto()
-    outcome = check_script(script.env, script.script, goal)
-    script_ok = outcome.passed and len(script.script.steps) == 13
-    for _, concl in outcome.conclusions:
+    script_ok = check_script(script.env, script.script, goal).passed
+    script_ok &= len(script.script.steps) == 13
+    prior = {}
+    for step in script.script.steps:
+        prior[step.name] = concl = apply_rule(script.env, step, prior)
         if not semantic_leadsto(owner.system, concl.lhs, concl.rhs).holds:
             violations += 1
     _report(
         8,
-        violations == 0 and accepted >= 200 and script_ok,
-        f"{accepted} accepted rule steps all semantically sound; transcribed "
+        violations == 0 and accepted >= 200 and rejected > 0 and misjudged == 0 and script_ok,
+        f"{accepted} accepted rule steps all semantically sound; {rejected} brl steps on a"
+        f" proper multi-event group rejected ({misjudged} misjudged); transcribed "
         f"13-step derivation {'passes' if script_ok else 'fails'}",
     )
 

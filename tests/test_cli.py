@@ -95,7 +95,9 @@ def test_failed_lip_goal_carries_lasso(capsys, tmp_path):
     assert items["SAP:P"]["verdict"] == "pass"
     assert items["LIP-goal:P"]["verdict"] == "fail"
     assert items["LIP-goal:P"]["lasso"]["cycle"]
-    assert items["RENS:P"]["verdict"] == "hypothesis-failed"
+    rens = items["RENS:P"]
+    assert (rens["verdict"], rens["witnesses"]) == ("hypothesis-failed", [])
+    assert rens["narrative"] == "liveness preservation goal failed (oracle)"
 
 
 def test_oracle_requires_known_property(capsys):
@@ -254,13 +256,18 @@ SMALL_ENSURES = "property P ensures helpful {e} from x = 0 to x = 1\n"
         (SMALL + SMALL_LEADSTO, ("--pair", "r"), "refine", "unknown refinement pair 'r'"),
         (SMALL + SMALL_LEADSTO, ("--script", "m"), "prove", "unknown proof script 'm'"),
         (SMALL, ("--property", "P"), "oracle", "unknown property 'P'"),
+        (
+            SMALL + "property U unless from x = 0 to x = 1\n", ("--property", "U"), "oracle",
+            "property 'U' is an unless property; the oracle decides leadsto and ensures"
+            " properties",
+        ),
     ],
     ids=[
         "empty-range", "state-bound", "any-not-alone", "shadowing", "unknown-system",
         "no-gluing", "no-variables", "no-events", "duplicate-system", "duplicate-declaration",
         "duplicate-property", "duplicate-proof", "unknown-goal", "goal-not-leadsto",
         "unknown-helpful", "bare-brl", "invariant-escape", "proof-without-steps",
-        "unknown-pair", "unknown-script", "unknown-property",
+        "unknown-pair", "unknown-script", "unknown-property", "oracle-on-unless",
     ],
 )
 def test_each_rejected_model_names_its_fault(tmp_path, capsys, text, options, command, diagnostic):
@@ -561,6 +568,39 @@ def test_split_helpful_event_keeps_the_glued_leadsto_check(
     assert (rens["verdict"], rens["witnesses"], rens["narrative"]) == (verdict, witnesses, narrative)
 
 
+SWAP = """system s
+  var y : 0..3
+  event done0 when y = 0 then y := 1 end
+  event done2 when y = 2 then y := 1 end
+  event flip when y = 0 or y = 2 then y := 2 - y end
+end
+property P ensures helpful {done0, done2} from y = 0 or y = 2 to y = 1
+property L leadsto from y = 0 or y = 2 to y = 1
+proof main goal L
+  step s1 brl P
+end
+"""
+
+
+def test_brl_rejects_a_proper_group_of_several_helpful_events(capsys, tmp_path):
+    # done0 and done2 take turns being enabled while flip swaps y = 0 and
+    # y = 2. ENS:P reads the group as one fair choice and passes, but weak
+    # fairness is per event, so the oracle refutes L and brl must not derive it
+    model = tmp_path / "swap.fb"
+    model.write_text(SWAP)
+    code, out = _run(capsys, "report", str(model), "--format", "json")
+    assert code == 1
+    verdicts = {o["id"]: o for o in json.loads(out)["obligations"]}
+    assert verdicts["ENS:P"]["verdict"] == "pass"
+    assert verdicts["ORACLE:L"]["verdict"] == "fail"
+    assert verdicts["ORACLE:L"]["witnesses"] == [{"state": "y=0", "bindings": {"y": 0}}]
+    script = verdicts["SCRIPT:main"]
+    assert (script["verdict"], script["refs"]) == ("fail", ["L"])
+    assert script["narrative"] == (
+        "step 's1': the helpful events of 'P' are not one event or the whole system"
+    )
+
+
 def test_refine_with_failing_abstract_property_skips_derived_inclusions(capsys, tmp_path):
     # the abstract leak breaks P1's first obligation; simulation still holds
     text = Path(CTR).read_text()
@@ -845,13 +885,15 @@ def test_report_is_the_concatenation_of_its_subcommands(capsys):
         assert obligations("report", path) == parts
 
 
-@pytest.mark.parametrize("model", ["ctr", "ctr_leak"])
+@pytest.mark.parametrize("model", ["ctr", "ctr_leak", "fuzz_seed"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_report_matches_golden_output(capsys, monkeypatch, model, fmt):
     # tests/golden holds the report as the per-state liberal transformer
-    # produced it; the pre-image kernel must not change a byte
+    # produced it; the pre-image kernel must not change a byte.
+    # tests/fuzz_seed.fb uses every construct of the language
     monkeypatch.chdir(ROOT)
-    code, out = _run(capsys, "report", f"models/{model}.fb", "--format", fmt)
+    path = "tests/fuzz_seed.fb" if model == "fuzz_seed" else f"models/{model}.fb"
+    code, out = _run(capsys, "report", path, "--format", fmt)
     assert code == (0 if model == "ctr" else 1)
     assert out == (ROOT / "tests" / "golden" / f"{model}_report.{fmt}").read_text()
 

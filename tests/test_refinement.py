@@ -14,9 +14,9 @@ from faircheck import (
     EventSystem,
     FairLoop,
     Guard,
-    LipEvidence,
     ModelError,
     ObligationReport,
+    OracleResult,
     Prim,
     RefinementPair,
     StateRelation,
@@ -24,10 +24,10 @@ from faircheck import (
     check_all_event_refinements,
     check_ensures,
     check_event_refinement,
+    check_lip,
     check_refined_ensures,
     check_sap,
     concrete_property,
-    discharge_lip_with_oracle,
     grd_of,
     lip_goal,
     loop_liberal,
@@ -119,9 +119,8 @@ def test_identity_refinement_passes_everything(ctr):
     goal = lip_goal(pair, ens)
     assert goal.lhs.is_empty()  # guard unchanged, nothing to reach
     assert derived_inclusion_failures(pair, ens) == []
-    evidence = discharge_lip_with_oracle(pair, ens)
-    assert evidence.holds
-    final = check_refined_ensures(pair, ens, evidence)
+    assert check_lip(pair, ens).holds
+    final = check_refined_ensures(pair, ens)
     assert final.passed
 
 
@@ -143,8 +142,7 @@ def test_split_state_refinement_exhaustive(ctr):
     pair = RefinementPair(ctr.system, concrete, gluing, {"inc2": "inc", "done2": "done"})
     for label in ("inc2", "done2"):
         assert check_event_refinement(pair, label).passed
-    evidence = discharge_lip_with_oracle(pair, ctr.prop)
-    assert check_refined_ensures(pair, ctr.prop, evidence).passed
+    assert check_refined_ensures(pair, ctr.prop).passed
 
 
 def test_event_refinement_failure_witnesses(ctr):
@@ -185,9 +183,8 @@ def test_stutter_refinement_end_to_end(ctr):
     assert check_sap(pair, ens).passed
     goal = lip_goal(pair, ens)
     assert not goal.lhs.is_empty()  # the flag gate makes liveness real
-    evidence = discharge_lip_with_oracle(pair, ens)
-    assert evidence.holds
-    final = check_refined_ensures(pair, ens, evidence)
+    assert check_lip(pair, ens).holds
+    final = check_refined_ensures(pair, ens)
     assert final.passed
     # the theorem behind the pass: the derived inclusions hold, the
     # certified concrete property really is an ensures property and the
@@ -220,43 +217,26 @@ def test_sap_violation_is_rejected_with_witness(ctr):
     sap = check_sap(pair, ctr.prop)
     assert sap.verdict == "fail"
     assert 3 in sap.witnesses  # concrete state 2 (index 3) exits the guard
-    evidence = discharge_lip_with_oracle(pair, ctr.prop)
-    final = check_refined_ensures(pair, ctr.prop, evidence)
+    final = check_refined_ensures(pair, ctr.prop)
     assert final.verdict == "hypothesis-failed"
     assert "safety" in final.narrative
 
 
-def test_missing_or_mismatched_lip_evidence(ctr):
-    pair = _stutter_pair(ctr)
-    assert check_refined_ensures(pair, ctr.prop, None).verdict == "hypothesis-failed"
-    wrong_goal = LipEvidence(
-        lip_goal(pair, ctr.prop)
-        .__class__(ctr.space.empty(), ctr.space.universe(), "other"),
-        True,
-        "oracle",
-    )
-    report = check_refined_ensures(pair, ctr.prop, wrong_goal)
-    assert report.verdict == "hypothesis-failed"
-    assert "different goal" in report.narrative
-    failed = LipEvidence(lip_goal(pair, ctr.prop), False, "oracle")
-    assert check_refined_ensures(pair, ctr.prop, failed).verdict == "hypothesis-failed"
-
-
 def test_lip_discharged_by_proof_script(ctr):
     # the liveness goal of the flag refinement coincides with the stutter
-    # ensures property, so a one-step script discharges it
+    # ensures property, so a one-step script derives it; a derived goal is
+    # a valid leads-to, so the oracle's LIP verdict holds and RENS passes
     from faircheck import LeadsTo, ProofScript, ProofStep, ScriptEnv, check_script
 
     pair = _stutter_pair(ctr)
     goal = lip_goal(pair, ctr.prop)
-    v = pair.concrete.space
     stutter = EnsuresProperty("E_stutter", frozenset({"tick"}), goal.lhs, goal.rhs)
     env = ScriptEnv(pair.concrete, ensures={"E_stutter": stutter})
     script = ProofScript("lip", (ProofStep("s1", "brl", ("E_stutter",)),))
-    outcome = check_script(env, script, LeadsTo(goal.lhs, goal.rhs, "goal"))
-    assert outcome.passed
-    evidence = LipEvidence(goal, outcome.passed, "script:lip")
-    assert check_refined_ensures(pair, ctr.prop, evidence).passed
+    report = check_script(env, script, LeadsTo(goal.lhs, goal.rhs, "goal"))
+    assert (report.id, report.verdict) == ("SCRIPT:lip", "pass")
+    assert check_lip(pair, ctr.prop).holds
+    assert check_refined_ensures(pair, ctr.prop).passed
 
 
 def test_glued_active_inclusion_holds_for_generated_pairs(ctr):
@@ -314,10 +294,9 @@ def test_generated_split_refinements_preserve_ensures():
             continue
         if not check_sap(pair, prop).passed:
             continue
-        evidence = discharge_lip_with_oracle(pair, prop)
-        if not evidence.holds:
+        if not check_lip(pair, prop).holds:
             continue
-        report = check_refined_ensures(pair, prop, evidence)
+        report = check_refined_ensures(pair, prop)
         assert report.passed, report.narrative
         # the theorem behind the pass, computed: the derived inclusions,
         # the concrete ensures property and the glued leads-to
@@ -496,12 +475,12 @@ def test_hidden_block_escape_fails_at_every_size(n):
 
 def test_refined_ensures_reads_gates_in_order(ctr, monkeypatch):
     pair = _stutter_pair(ctr)
-    evidence = discharge_lip_with_oracle(pair, ctr.prop)
-    assert check_refined_ensures(pair, ctr.prop, evidence).passed
+    assert check_refined_ensures(pair, ctr.prop).passed
     order = [
         check_ensures(pair.abstract, ctr.prop).id,
         *(r.id for r in check_all_event_refinements(pair)),
         check_sap(pair, ctr.prop).id,
+        "LIP",
     ]
     narratives = [
         "abstract property failed: planted",
@@ -509,6 +488,7 @@ def test_refined_ensures_reads_gates_in_order(ctr, monkeypatch):
         "event refinement failed: REF:done2",
         "event refinement failed: REF:tick",
         "safety preservation failed",
+        "liveness preservation goal failed (oracle)",
     ]
     assert len(order) == len(narratives)
     for k, narrative in enumerate(narratives):
@@ -527,33 +507,49 @@ def test_refined_ensures_reads_gates_in_order(ctr, monkeypatch):
         with monkeypatch.context() as patch:
             for name in ("check_ensures", "check_event_refinement", "check_sap"):
                 patch.setattr(refinement, name, plant(getattr(refinement, name)))
-            report = check_refined_ensures(pair, ctr.prop, evidence)
+            refuted = OracleResult(False, deadlock_path=(0,))
+            patch.setattr(refinement, "check_lip",
+                          lambda rp, prop: refuted if "LIP" in failing else check_lip(rp, prop))
+            report = check_refined_ensures(pair, ctr.prop)
         assert report.verdict == "hypothesis-failed"
         assert report.narrative == narrative
 
 
 def test_refine_decides_preservation_from_its_gates(monkeypatch, capsys):
-    # RENS and DRV are read off the gates: the one oracle call is the LIP
-    # goal's, and ensures properties are checked on the abstract system only
-    oracle_spaces, ensures_spaces = [], []
-
-    def counted(calls, check):
+    # RENS and DRV are read off the gates: the one oracle call of the
+    # refinement module is the LIP goal's, and LIP-goal and RENS both read
+    # its result (a planted refutation fails the one and blocks the other);
+    # ensures properties are checked on the abstract system only
+    def counted(calls, check, planted=None):
         def call(sys, *args):
             calls.append(sys.space.id)
-            return check(sys, *args)
+            result = check(sys, *args)
+            return result if planted is None else planted
 
         return call
 
-    monkeypatch.setattr(refinement, "semantic_leadsto",
-                        counted(oracle_spaces, refinement.semantic_leadsto))
-    monkeypatch.setattr(refinement, "check_ensures",
-                        counted(ensures_spaces, refinement.check_ensures))
     ctr = str(ROOT / "models" / "ctr.fb")
-    assert run_cli(["refine", ctr, "--pair", "ctr2", "--format", "json"]) == 0
-    entries = {e["id"]: e for e in json.loads(capsys.readouterr().out)["obligations"]}
-    assert oracle_spaces == ["ctr2"]
-    assert ensures_spaces and set(ensures_spaces) == {"ctr"}
-    assert entries["RENS:P1"]["narrative"] == "concrete ensures P1' holds by ENS, REF, SAP and LIP"
-    drv = [rid for rid in entries if rid.startswith("DRV:P1:")]
-    assert drv == [f"DRV:P1:{tag}" for tag in refinement.DRV_TAGS]
-    assert all(entries[rid]["verdict"] == "pass" for rid in drv)
+    for command in (("refine", ctr, "--pair", "ctr2"), ("report", ctr)):
+        for holds in (True, False):
+            oracle_spaces, ensures_spaces = [], []
+            planted = None if holds else OracleResult(False, deadlock_path=(0,))
+            with monkeypatch.context() as patch:
+                patch.setattr(refinement, "semantic_leadsto",
+                              counted(oracle_spaces, refinement.semantic_leadsto, planted))
+                patch.setattr(refinement, "check_ensures",
+                              counted(ensures_spaces, refinement.check_ensures))
+                code = run_cli([*command, "--format", "json"])
+            assert code == (0 if holds else 1)
+            entries = {e["id"]: e for e in json.loads(capsys.readouterr().out)["obligations"]}
+            assert oracle_spaces == ["ctr2"]
+            assert ensures_spaces and set(ensures_spaces) == {"ctr"}
+            lip, rens = entries["LIP-goal:P1"], entries["RENS:P1"]
+            if holds:
+                assert (lip["verdict"], rens["verdict"]) == ("pass", "pass")
+                assert rens["narrative"] == "concrete ensures P1' holds by ENS, REF, SAP and LIP"
+            else:
+                assert (lip["verdict"], rens["verdict"]) == ("fail", "hypothesis-failed")
+                assert rens["narrative"] == "liveness preservation goal failed (oracle)"
+            drv = [rid for rid in entries if rid.startswith("DRV:P1:")]
+            assert drv == [f"DRV:P1:{tag}" for tag in refinement.DRV_TAGS]
+            assert all(entries[rid]["verdict"] == "pass" for rid in drv)

@@ -6,11 +6,17 @@ import pytest
 
 from faircheck import (
     EnsuresProperty,
+    EventSystem,
+    Guard,
     LeadsTo,
+    Prim,
     ProofScript,
     ProofStep,
     RuleError,
     ScriptEnv,
+    StateRelation,
+    StateSet,
+    StateSpace,
     Unless,
     apply_rule,
     check_script,
@@ -18,7 +24,7 @@ from faircheck import (
     semantic_leadsto,
     trivial_ensures,
 )
-from helpers import ensures_closure, random_subset, random_system
+from helpers import GenSystem, ensures_closure, random_subset, random_system
 
 
 def _env(ctr) -> ScriptEnv:
@@ -165,29 +171,33 @@ def test_check_script_fixture_chain(ctr):
         ),
     )
     goal = LeadsTo(ctr.p, ctr.q, "goal")
-    outcome = check_script(env, script, goal)
-    assert outcome.passed
-    assert [name for name, _ in outcome.conclusions] == ["s1", "s2", "s3"]
+    report = check_script(env, script, goal)
+    assert (report.id, report.verdict, report.refs) == ("SCRIPT:demo", "pass", ("goal",))
+    assert report.narrative == "derives goal in 3 steps"
 
 
 def test_check_script_failure_modes(ctr):
     env = _env(ctr)
     goal = LeadsTo(ctr.p, ctr.q, "goal")
-    empty = ProofScript("empty", ())
-    assert not check_script(env, empty, goal).passed
+
+    def narrative(script: ProofScript, goal: LeadsTo) -> str:
+        report = check_script(env, script, goal)
+        assert (report.id, report.verdict) == (f"SCRIPT:{script.name}", "fail")
+        return report.narrative
+
+    assert narrative(ProofScript("empty", ()), goal) == "script has no steps"
 
     dangling = ProofScript("dangling", (ProofStep("s1", "tra", ("zz", "zz")),))
-    outcome = check_script(env, dangling, goal)
-    assert not outcome.passed and outcome.failed_step == "s1"
+    assert narrative(dangling, goal) == "step 's1': reference 'zz' does not name a prior step"
 
     wrong_goal = ProofScript("wg", (ProofStep("s1", "brl", ("P1",)),))
-    outcome = check_script(env, wrong_goal, LeadsTo(ctr.q, ctr.p, "goal"))
-    assert not outcome.passed
+    assert (narrative(wrong_goal, LeadsTo(ctr.q, ctr.p, "goal"))
+            == "final conclusion differs from the script goal")
 
     forward_ref = ProofScript(
         "fr", (ProofStep("s1", "tra", ("s2", "s2")), ProofStep("s2", "brl", ("P1",)))
     )
-    assert not check_script(env, forward_ref, goal).passed
+    assert narrative(forward_ref, goal) == "step 's1': reference 's2' does not name a prior step"
 
 
 def test_script_steps_must_have_unique_names():
@@ -263,3 +273,48 @@ def test_rule_soundness_on_generated_scripts():
             assert semantic_leadsto(sys, concl.lhs, concl.rhs).holds
             accepted += 1
     assert accepted >= 100
+
+
+def _jumps_and_rotation(rng: random.Random) -> tuple[GenSystem, StateSet]:
+    """Two or three events that jump to one target state from random
+    guards, and a random permutation `rot` enabled everywhere. A group of
+    jump events can cover a rotation cycle while each of them is disabled
+    somewhere on it, so the group is enabled throughout and none of them
+    need fire."""
+    space = StateSpace("u", rng.randint(4, 7))
+    target = rng.randrange(space.size)
+    guards = {f"e{i}": random_subset(rng, space) for i in range(rng.randint(2, 3))}
+    rels = {label: StateRelation(space, space, [(s, target) for s in guard.members()])
+            for label, guard in guards.items()}
+    order = list(range(space.size))
+    rng.shuffle(order)
+    guards["rot"], rels["rot"] = space.universe(), StateRelation(space, space, enumerate(order))
+    events = {label: Guard(guards[label], Prim(rel)) for label, rel in rels.items()}
+    return GenSystem(EventSystem(space, events), guards, rels), space.singleton(target)
+
+
+def test_accepted_scripts_hold_whatever_the_helpful_group():
+    # brl over a random helpful group, weakened and chained: every script
+    # check_script accepts is a leads-to the oracle confirms, and some draws
+    # the oracle refutes are rejected
+    rng = random.Random(5)
+    accepted = refuted = 0
+    for _ in range(400):
+        gsys, q = _jumps_and_rotation(rng)
+        sys, space = gsys.system, gsys.space
+        k = frozenset(rng.sample(sys.labels, rng.randint(1, len(sys.labels))))
+        base = ensures_closure(gsys, k, q, space.universe())
+        wide = q | StateSet(space, rng.getrandbits(space.size) & rng.getrandbits(space.size))
+        env = ScriptEnv(sys, ensures={"base": base, "wk": trivial_ensures(sys, "wk", q, wide)})
+        script = ProofScript("s", (
+            ProofStep("b0", "brl", ("base",)),
+            ProofStep("b1", "brl", ("wk",)),
+            ProofStep("t", "tra", ("b0", "b1")),
+        ))
+        holds = semantic_leadsto(sys, base.p, wide).holds
+        if check_script(env, script, LeadsTo(base.p, wide, "goal")).passed:
+            assert holds
+            accepted += 1
+        elif not holds:
+            refuted += 1
+    assert accepted >= 200 and refuted >= 1
