@@ -25,13 +25,17 @@ from . import __version__
 from .elaborator import (
     DEFAULT_MAX_STATES,
     ElaboratedModel,
+    ElaboratedProperty,
+    ElaboratedScript,
     ElaboratedSystem,
     ElaborationError,
     elaborate,
 )
 from .obligations import (
     EngineDefect,
+    EnsuresProperty,
     ModelError,
+    ObligationReport,
     check_ensures,
     check_wf0,
     check_wf1,
@@ -45,7 +49,7 @@ from .refinement import (
     derived_inclusions,
 )
 from .reports import ReportDocument, lasso_json
-from .unity import OracleResult, check_script, check_unless, semantic_leadsto
+from .unity import LeadsTo, Unless, check_script, check_unless, semantic_leadsto
 
 
 class _CliError(Exception):
@@ -68,16 +72,21 @@ def _load(path: str, max_states: int) -> ElaboratedModel:
         raise _CliError(f"{path}: {err}") from err
 
 
+def _add(doc: ReportDocument, owner: ElaboratedSystem, report: ObligationReport) -> None:
+    """One line over the owner's states, with the lasso of an oracle refutation."""
+    lasso = lasso_json(owner, report.lasso) if report.lasso is not None else None
+    doc.add(report, owner, lasso=lasso)
+
+
 def _property_reports(model: ElaboratedModel, doc: ReportDocument) -> None:
     for prop in model.properties.values():
-        owner = model.owner(prop.source)
-        if prop.kind == "ensures":
-            ens = prop.as_ensures()
-            doc.add(check_wf0(owner.system, ens), owner)
-            doc.add(check_wf1(owner.system, ens), owner)
-            doc.add(check_ensures(owner.system, ens), owner)
-        elif prop.kind == "unless":
-            doc.add(check_unless(owner.system, prop.as_unless()), owner)
+        owner, value = prop.owner, prop.value
+        if isinstance(value, EnsuresProperty):
+            _add(doc, owner, check_wf0(owner.system, value))
+            _add(doc, owner, check_wf1(owner.system, value))
+            _add(doc, owner, check_ensures(owner.system, value))
+        elif isinstance(value, Unless):
+            _add(doc, owner, check_unless(owner.system, value))
 
 
 def _refinement_reports(model: ElaboratedModel, pair_name: str, doc: ReportDocument) -> None:
@@ -87,48 +96,35 @@ def _refinement_reports(model: ElaboratedModel, pair_name: str, doc: ReportDocum
     concrete = refinement.concrete
 
     for report in check_all_event_refinements(pair):
-        doc.add(report, abstract)
+        _add(doc, abstract, report)
 
-    ensures_props = [
-        p
-        for p in model.properties.values()
-        if p.kind == "ensures" and p.source == refinement.abstract_name
-    ]
-    for prop in ensures_props:
-        ens = prop.as_ensures()
-        doc.add(check_sap(pair, ens), concrete)
-        _add_oracle_verdict(
-            doc, concrete, check_lip(pair, ens), f"LIP-goal:{prop.name}", (prop.name, pair_name),
-            "discharged by the semantic oracle", "the refined helpful guard",
+    for prop in model.properties.values():
+        ens = prop.value
+        if prop.owner is not abstract or not isinstance(ens, EnsuresProperty):
+            continue
+        _add(doc, concrete, check_sap(pair, ens))
+        lip = check_lip(pair, ens).report(
+            f"LIP-goal:{ens.name}", (ens.name, pair_name),
+            "the refined helpful guard", "discharged by the semantic oracle",
         )
+        _add(doc, concrete, lip)
         for report in derived_inclusions(pair, ens):
-            doc.add(report, concrete)
-        doc.add(check_refined_ensures(pair, ens), concrete)
+            _add(doc, concrete, report)
+        _add(doc, concrete, check_refined_ensures(pair, ens))
 
 
-def _script_report(model: ElaboratedModel, name: str, doc: ReportDocument) -> None:
-    script = model.scripts[name]
-    goal = model.properties[script.goal].as_leadsto()
-    doc.add(check_script(script.env, script.script, goal), model.owner(script.source))
+def _script_report(script: ElaboratedScript, doc: ReportDocument) -> None:
+    _add(doc, script.owner, check_script(script.env, script.script, script.goal))
 
 
-def _add_oracle_verdict(
-    doc: ReportDocument, owner: ElaboratedSystem, verdict: OracleResult, rid: str,
-    refs: tuple[str, ...], passed: str, target: str,
-) -> None:
-    """One entry for a leads-to verdict of the oracle, with its lasso."""
-    lasso = lasso_json(owner, verdict.lasso) if verdict.lasso is not None else None
-    doc.add(verdict.report(rid, refs, target, passed), owner, lasso=lasso)
-
-
-def _oracle_report(model: ElaboratedModel, name: str, doc: ReportDocument) -> None:
-    prop = model.properties[name]
-    owner = model.owner(prop.source)
-    verdict = semantic_leadsto(owner.system, prop.p, prop.q)
-    _add_oracle_verdict(
-        doc, owner, verdict, f"ORACLE:{name}", (name,),
-        "every weakly fair execution reaches the target", "the target",
-    )
+def _oracle_report(prop: ElaboratedProperty, doc: ReportDocument) -> None:
+    value = prop.value
+    p, q = (value.p, value.q) if isinstance(value, EnsuresProperty) else (value.lhs, value.rhs)
+    verdict = semantic_leadsto(prop.owner.system, p, q)
+    _add(doc, prop.owner, verdict.report(
+        f"ORACLE:{value.name}", (value.name,),
+        "the target", "every weakly fair execution reaches the target",
+    ))
 
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
@@ -172,23 +168,24 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         elif args.command == "prove":
             if args.script not in model.scripts:
                 raise _CliError(f"unknown proof script {args.script!r}")
-            _script_report(model, args.script, doc)
+            _script_report(model.scripts[args.script], doc)
         elif args.command == "oracle":
             if args.property not in model.properties:
                 raise _CliError(f"unknown property {args.property!r}")
-            if model.properties[args.property].kind == "unless":
+            prop = model.properties[args.property]
+            if isinstance(prop.value, Unless):
                 raise _CliError(f"property {args.property!r} is an unless property;"
                                 " the oracle decides leadsto and ensures properties")
-            _oracle_report(model, args.property, doc)
+            _oracle_report(prop, doc)
         elif args.command == "report":
             _property_reports(model, doc)
             for pair_name in model.refinements:
                 _refinement_reports(model, pair_name, doc)
-            for script_name in model.scripts:
-                _script_report(model, script_name, doc)
+            for script in model.scripts.values():
+                _script_report(script, doc)
             for prop in model.properties.values():
-                if prop.kind == "leadsto":
-                    _oracle_report(model, prop.name, doc)
+                if isinstance(prop.value, LeadsTo):
+                    _oracle_report(prop, doc)
     except (_CliError, ModelError, ElaborationError) as err:
         print(str(err), file=sys.stderr)
         return 2

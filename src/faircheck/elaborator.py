@@ -137,34 +137,20 @@ class ElaboratedRefinement:
 
 @dataclass
 class ElaboratedProperty:
-    name: str
-    kind: str  # ensures | leadsto | unless
-    source: str
-    helpful: tuple[str, ...]
-    p: StateSet
-    q: StateSet
+    """A declared property: its engine value over its owner's states."""
 
-    def as_ensures(self) -> EnsuresProperty:
-        if self.kind != "ensures":
-            raise ModelError(f"property {self.name!r} is not an ensures property")
-        return EnsuresProperty(self.name, frozenset(self.helpful), self.p, self.q)
-
-    def as_leadsto(self) -> LeadsTo:
-        return LeadsTo(self.p, self.q, self.name)
-
-    def as_unless(self) -> Unless:
-        return Unless(self.p, self.q, self.name)
+    owner: ElaboratedSystem
+    value: EnsuresProperty | LeadsTo | Unless
 
 
 @dataclass
 class ElaboratedScript:
-    """A proof script with its premises: its owner's ensures and unless
-    properties, and the generated ensures of its inline brl steps."""
+    """A proof script with its goal and premises: its owner's ensures and
+    unless properties, and the generated ensures of its inline brl steps."""
 
-    name: str
-    goal: str
-    source: str
+    owner: ElaboratedSystem
     script: ProofScript
+    goal: LeadsTo
     env: ScriptEnv
 
 
@@ -175,13 +161,6 @@ class ElaboratedModel:
     properties: dict[str, ElaboratedProperty]
     scripts: dict[str, ElaboratedScript]
     state_count: int
-
-    def owner(self, source: str) -> ElaboratedSystem:
-        if source in self.systems:
-            return self.systems[source]
-        if source in self.refinements:
-            return self.refinements[source].concrete
-        raise ModelError(f"unknown system or refinement {source!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -500,32 +479,34 @@ def elaborate(doc: ModelDocument, max_states: int = DEFAULT_MAX_STATES) -> Elabo
     owners = dict(systems)
     owners.update({name: ref.concrete for name, ref in refinements.items()})
 
-    def set_of(source: str, pred: Pred) -> StateSet:
-        members = [i for i, env in enumerate(envs[source]) if eval_pred(pred, env)]
-        return owners[source].space.subset(members)
+    def set_of(owner: ElaboratedSystem, pred: Pred) -> StateSet:
+        members = [i for i, env in enumerate(envs[owner.name]) if eval_pred(pred, env)]
+        return owner.space.subset(members)
 
-    properties = {
-        pdecl.name: ElaboratedProperty(
-            pdecl.name, pdecl.kind, pdecl.source, pdecl.helpful,
-            set_of(pdecl.source, pdecl.frm), set_of(pdecl.source, pdecl.to),
-        )
-        for pdecl in doc.properties
-    }
+    properties: dict[str, ElaboratedProperty] = {}
+    for pdecl in doc.properties:
+        owner = owners[pdecl.source]
+        p, q = set_of(owner, pdecl.frm), set_of(owner, pdecl.to)
+        if pdecl.kind == "ensures":
+            value = EnsuresProperty(pdecl.name, frozenset(pdecl.helpful), p, q)
+        else:
+            value = (LeadsTo if pdecl.kind == "leadsto" else Unless)(p, q, pdecl.name)
+        properties[pdecl.name] = ElaboratedProperty(owner, value)
 
     scripts: dict[str, ElaboratedScript] = {}
     for prdecl in doc.proofs:
-        source = properties[prdecl.goal].source
-        env = ScriptEnv(owners[source].system)
-        for prop in properties.values():
-            if prop.source == source and prop.kind == "ensures":
-                env.ensures[prop.name] = prop.as_ensures()
-            elif prop.source == source and prop.kind == "unless":
-                env.unless[prop.name] = prop.as_unless()
+        goal = properties[prdecl.goal]
+        env = ScriptEnv(goal.owner.system)
+        for name, prop in properties.items():
+            if prop.owner is goal.owner and isinstance(prop.value, EnsuresProperty):
+                env.ensures[name] = prop.value
+            elif prop.owner is goal.owner and isinstance(prop.value, Unless):
+                env.unless[name] = prop.value
         steps = []
         for sdecl in prdecl.steps:
             conclusion = None
             if sdecl.frm is not None and sdecl.to is not None:
-                lhs, rhs = set_of(source, sdecl.frm), set_of(source, sdecl.to)
+                lhs, rhs = set_of(goal.owner, sdecl.frm), set_of(goal.owner, sdecl.to)
                 conclusion = LeadsTo(lhs, rhs, sdecl.name)
             refs = sdecl.refs
             if sdecl.rule == "brl" and not refs:  # an inline conclusion, by the static checks
@@ -534,7 +515,7 @@ def elaborate(doc: ModelDocument, max_states: int = DEFAULT_MAX_STATES) -> Elabo
                 refs = (gen,)
             steps.append(ProofStep(sdecl.name, sdecl.rule, refs, conclusion))
         script = ProofScript(prdecl.name, tuple(steps))
-        scripts[prdecl.name] = ElaboratedScript(prdecl.name, prdecl.goal, source, script, env)
+        scripts[prdecl.name] = ElaboratedScript(goal.owner, script, goal.value, env)
 
     state_count = sum(s.space.size for s in owners.values())
     return ElaboratedModel(systems, refinements, properties, scripts, state_count)

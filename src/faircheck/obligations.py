@@ -10,11 +10,14 @@ helpful choice is enabled on p & ~q and moves it into q (WF1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .commands import Choice, Command, grd_of, memo_on_owner, pre_of, str_apply
 from .fairloop import FairLoop, check_total_correctness
 from .sets import SpaceMismatchError, StateSet, StateSpace
+
+if TYPE_CHECKING:
+    from .unity import FairLasso
 
 
 class ModelError(Exception):
@@ -95,13 +98,15 @@ def split_system(sys: EventSystem, helpful_labels: Iterable[str]) -> tuple[Comma
 
 @dataclass(frozen=True)
 class ObligationReport:
-    """Outcome of one proof obligation, with state-level witnesses on failure."""
+    """Outcome of one proof obligation, with state-level witnesses on failure
+    and, when the oracle refuted it, the refuting lasso."""
 
     id: str
     verdict: str  # pass | fail | hypothesis-failed
     witnesses: tuple[int, ...] = ()
     narrative: str = ""
     refs: tuple[str, ...] = ()
+    lasso: FairLasso | None = None
 
     @property
     def passed(self) -> bool:

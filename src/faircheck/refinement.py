@@ -156,10 +156,10 @@ def derived_inclusions(rp: RefinementPair, prop: EnsuresProperty) -> list[Obliga
     so once those gates pass they pass uncomputed; `test_refinement.py`
     computes them (`derived_inclusion_failures`) and `test_differential.py`
     compares them with a brute-force reference. When a gate fails one
-    hypothesis-failed `DRV:<p>` report says so."""
-    if _failed_gate(rp, prop) is not None:
-        narrative = "gates failed; derived inclusions not run"
-        return [ObligationReport(f"DRV:{prop.name}", "hypothesis-failed", narrative=narrative)]
+    hypothesis-failed `DRV:<p>` report names it."""
+    gate = _failed_gate(rp, prop)
+    if gate is not None:
+        return [ObligationReport(f"DRV:{prop.name}", "hypothesis-failed", (), gate, (prop.name,))]
     return [ObligationReport(f"DRV:{prop.name}:{tag}", "pass", refs=(prop.name,))
             for tag in DRV_TAGS]
 

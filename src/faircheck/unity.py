@@ -312,13 +312,13 @@ class OracleResult:
     ) -> ObligationReport:
         """This verdict as obligation rid, whose narrative is passed when it
         holds. A refutation names one state: the first cycle state of its
-        lasso, or the stuck state that ends its deadlock path; its narrative
-        names the target."""
+        lasso, which it carries, or the stuck state that ends its deadlock
+        path; its narrative names the target."""
         if self.holds:
             return ObligationReport(rid, "pass", narrative=passed, refs=refs)
         if self.lasso is not None:
             narrative = f"a weakly fair execution avoids {target}"
-            return ObligationReport(rid, "fail", self.lasso.cycle[:1], narrative, refs)
+            return ObligationReport(rid, "fail", self.lasso.cycle[:1], narrative, refs, self.lasso)
         narrative = f"a stuck state is reachable before {target}"
         return ObligationReport(rid, "fail", self.deadlock_path[-1:], narrative, refs)
 

@@ -390,7 +390,7 @@ def test_criterion_08_unity_soundness_and_fixture_script():
     model = elaborate(parsed.document)
     script = model.scripts["main"]
     owner = model.refinements["ctr2"].concrete
-    goal = model.properties["P2"].as_leadsto()
+    goal = model.properties["P2"].value
     script_ok = check_script(script.env, script.script, goal).passed
     script_ok &= len(script.script.steps) == 13
     prior = {}

@@ -540,22 +540,34 @@ end
 """
 
 
+SWAP_LASSO = {
+    "stem": [],
+    "cycle": ["y=0", "y=2", "y=0", "y=2"],
+    "justifications": [
+        {"event": "done0", "kind": "disabled", "state": "y=2"},
+        {"event": "done2", "kind": "disabled", "state": "y=0"},
+        {"event": "flip", "kind": "taken", "transition": ["y=0", "y=2"]},
+    ],
+}
+
+
 @pytest.mark.parametrize(
-    "flip, verdict, witnesses, narrative",
+    "flip, verdict, witnesses, narrative, lasso",
     [
         ("y = 0 or y = 2 then y := 2 - y", "fail", [{"state": "y=0", "bindings": {"y": 0}}],
-         "a weakly fair execution avoids the glued q"),
+         "a weakly fair execution avoids the glued q", SWAP_LASSO),
         ("y = 2 then y := 0", "pass", [],
-         "concrete ensures P' holds by ENS, REF, SAP and LIP"),
+         "concrete ensures P' holds by ENS, REF, SAP and LIP", None),
     ],
     ids=["swap", "one-way"],
 )
 def test_split_helpful_event_keeps_the_glued_leadsto_check(
-    capsys, tmp_path, flip, verdict, witnesses, narrative
+    capsys, tmp_path, flip, verdict, witnesses, narrative, lasso
 ):
     # done is split into done0 and done2, each enabled in one copy of x = 0.
     # Every gate passes, but when flip swaps the copies forever neither is
-    # continuously enabled, so a weakly fair run avoids the glued q
+    # continuously enabled, so a weakly fair run avoids the glued q; the
+    # refutation carries that run as its lasso
     model = tmp_path / "split_helpful.fb"
     model.write_text(SPLIT_HELPFUL.replace("FLIP", flip))
     code, out = _run(capsys, "refine", str(model), "--pair", "c", "--format", "json")
@@ -566,6 +578,7 @@ def test_split_helpful_event_keeps_the_glued_leadsto_check(
     assert all(verdicts[rid]["verdict"] == "pass" for rid in verdicts if rid.startswith("DRV:"))
     rens = verdicts["RENS:P"]
     assert (rens["verdict"], rens["witnesses"], rens["narrative"]) == (verdict, witnesses, narrative)
+    assert rens.get("lasso") == lasso
 
 
 SWAP = """system s
@@ -620,6 +633,7 @@ def test_refine_with_failing_abstract_property_skips_derived_inclusions(capsys, 
     for event in ("inc2", "done2", "leak2", "tick"):
         assert verdicts[f"REF:{event}"]["verdict"] == "pass"
     assert verdicts["DRV:P1"]["verdict"] == "hypothesis-failed"
+    assert verdicts["DRV:P1"]["narrative"].startswith("abstract property failed:")
     assert not any(rid.startswith("DRV:P1:") for rid in verdicts)
     rens = verdicts["RENS:P1"]
     assert rens["verdict"] == "hypothesis-failed"
@@ -639,8 +653,8 @@ def test_refine_with_failing_event_refinement_skips_derived_inclusions(capsys, t
         "id": "DRV:P1",
         "verdict": "hypothesis-failed",
         "witnesses": [],
-        "refs": [],
-        "narrative": "gates failed; derived inclusions not run",
+        "refs": ["P1"],
+        "narrative": "event refinement failed: REF:inc2",
     }
     assert not any(rid.startswith("DRV:P1:") for rid in verdicts)
     assert verdicts["RENS:P1"]["narrative"] == "event refinement failed: REF:inc2"

@@ -27,7 +27,7 @@ def test_ctr_elaboration_sizes_and_sets():
     assert ctr.space.size == 4
     assert ctr.valuations == ((0,), (1,), (2,), (3,))
     assert [ctr.label(i) for i in range(4)] == ["x=0", "x=1", "x=2", "x=3"]
-    p1 = model.properties["P1"]
+    p1 = model.properties["P1"].value
     assert p1.p.members() == (1, 2)
     assert p1.q.members() == (3,)
     assert model.state_count == 12  # 4 abstract + 8 concrete states
@@ -43,11 +43,11 @@ def test_ctr_events_have_expected_guards():
 def test_ctr_properties_check_out():
     model = _elab(CTR_SOURCE)
     ctr = model.systems["ctr"]
-    assert check_ensures(ctr.system, model.properties["P1"].as_ensures()).passed
+    assert check_ensures(ctr.system, model.properties["P1"].value).passed
     ctr2 = model.refinements["ctr2"].concrete
-    assert check_unless(ctr2.system, model.properties["U29"].as_unless()).passed
-    p2 = model.properties["P2"]
-    assert semantic_leadsto(ctr2.system, p2.p, p2.q).holds
+    assert check_unless(ctr2.system, model.properties["U29"].value).passed
+    p2 = model.properties["P2"].value
+    assert semantic_leadsto(ctr2.system, p2.lhs, p2.rhs).holds
 
 
 def test_labels_render_states():
@@ -101,7 +101,7 @@ def test_glued_membership_matches_predicate_reading():
     model = _elab(CTR_SOURCE)
     refinement = model.refinements["ctr2"]
     ctr = model.systems["ctr"]
-    p1 = model.properties["P1"]
+    p1 = model.properties["P1"].value
     active = p1.p & p1.q.complement()
     glued_active = refinement.pair.concrete_of(active)
     doc = parse_document(CTR_SOURCE).document
@@ -233,8 +233,8 @@ def test_any_update_with_empty_witness_set_is_a_miracle():
 def test_scripts_elaborate_with_generated_weakenings():
     model = _elab(CTR_SOURCE)
     script = model.scripts["main"]
-    assert script.goal == "P2"
-    assert script.source == "ctr2"
+    assert script.goal.name == "P2"
+    assert script.owner is model.refinements["ctr2"].concrete
     env = script.env
     assert env.system is model.refinements["ctr2"].concrete.system
     # the owner's ensures and unless properties, not the abstract system's,
@@ -242,10 +242,21 @@ def test_scripts_elaborate_with_generated_weakenings():
     assert list(env.ensures) == [
         "E_stutter", "E_help", "main:s5", "main:s8w", "main:s11", "main:s14"
     ]
-    assert env.ensures["E_help"] == model.properties["E_help"].as_ensures()
+    assert env.ensures["E_help"] == model.properties["E_help"].value
     assert env.ensures["main:s5"].helpful == frozenset(env.system.labels)
     assert list(env.unless) == ["U29"]
     assert script.script.steps[1].refs == ("main:s5",)
+
+
+def test_each_declaration_is_one_value_with_its_owner():
+    # a script's goal and premises are the very values the properties hold
+    model = _elab(CTR_SOURCE)
+    props, script = model.properties, model.scripts["main"]
+    assert script.env.ensures["E_help"] is props["E_help"].value
+    assert script.env.unless["U29"] is props["U29"].value
+    assert script.goal is props["P2"].value
+    assert props["P1"].owner is model.systems["ctr"]
+    assert props["U29"].owner is model.refinements["ctr2"].concrete
 
 
 def _chain(rng: random.Random, terms: int, ops: tuple[str, ...], operand) -> str:

@@ -11,6 +11,7 @@ import pytest
 from faircheck import (
     EventSystem,
     Guard,
+    LeadsTo,
     OracleResult,
     Prim,
     Seq,
@@ -296,9 +297,9 @@ def _ring_text(n: int, variant: str) -> str:
 def _leadsto_cases(text: str) -> list[tuple[EventSystem, StateSet, StateSet]]:
     model = elaborate(parse_document(text).document)
     return [
-        (model.owner(prop.source).system, prop.p, prop.q)
+        (prop.owner.system, prop.value.lhs, prop.value.rhs)
         for prop in model.properties.values()
-        if prop.kind == "leadsto"
+        if isinstance(prop.value, LeadsTo)
     ]
 
 
