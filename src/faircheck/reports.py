@@ -13,7 +13,13 @@ The JSON document shape is:
           "witness_count": int,        # optional, when witnesses were cut
           "refs": [str],
           "narrative": str,            # optional
-          "lasso": {...}               # optional, counterexample executions
+          "lasso": {                   # optional, a counterexample execution
+            "stem": [str],
+            "stem_length": int,        # optional, when stem states were cut
+            "cycle": [str],
+            "cycle_length": int,       # optional, when cycle states were cut
+            "justifications": [{"event": str, "kind": str, ...}]
+          }
         }
       ]
     }
@@ -36,7 +42,8 @@ REPORT_VERSION = "1"
 
 VERDICTS = ("pass", "fail", "hypothesis-failed")
 
-# A report renders at most this many witnesses of one obligation.
+# A report renders at most this many witnesses of one obligation, and at
+# most this many stem and cycle states of one lasso.
 MAX_JSON_WITNESSES = 100
 
 
@@ -48,6 +55,9 @@ def state_witnesses(system: ElaboratedSystem, report: ObligationReport) -> list[
 
 
 def lasso_json(system: ElaboratedSystem, lasso: FairLasso) -> dict[str, Any]:
+    """A lasso as a JSON item over the given system: the first
+    MAX_JSON_WITNESSES states of its stem and of its cycle, the length of
+    each one that was cut, and every event's justification."""
     name = system.label
     justifications = []
     for label, kind, witness in lasso.justifications:
@@ -58,11 +68,13 @@ def lasso_json(system: ElaboratedSystem, lasso: FairLasso) -> dict[str, Any]:
             justifications.append(
                 {"event": label, "kind": kind, "transition": [name(s), name(t)]}
             )
-    return {
-        "stem": [name(i) for i in lasso.stem],
-        "cycle": [name(i) for i in lasso.cycle],
-        "justifications": justifications,
-    }
+    item: dict[str, Any] = {}
+    for part, states in (("stem", lasso.stem), ("cycle", lasso.cycle)):
+        item[part] = [name(i) for i in states[:MAX_JSON_WITNESSES]]
+        if len(states) > MAX_JSON_WITNESSES:
+            item[f"{part}_length"] = len(states)
+    item["justifications"] = justifications
+    return item
 
 
 @dataclass
@@ -157,4 +169,18 @@ def validate_report(data: Any) -> list[str]:
         refs = item.get("refs")
         if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
             problems.append(f"{where}.refs must be a list of strings")
+        if "lasso" not in item:
+            continue
+        lasso = item["lasso"]
+        if not isinstance(lasso, dict):
+            problems.append(f"{where}.lasso must be an object")
+            continue
+        for part in ("stem", "cycle"):
+            states = lasso.get(part)
+            if not isinstance(states, list):
+                problems.append(f"{where}.lasso.{part} must be a list")
+                continue
+            length = lasso.get(f"{part}_length", len(states))
+            if type(length) is not int or length < len(states):
+                problems.append(f"{where}.lasso.{part}_length must be an int >= len({part})")
     return problems

@@ -3,12 +3,12 @@
 Everything else in the kit is built on these three values. Sets are dense
 bitmasks over 0..size-1 and immutable.
 
-A relation is stored as one edge plan that answers pre-images, images and
+A relation stores its edges once, in a layout that answers pre-images and
 per-state successor lists, in memory linear in states plus edges. The
 edges are grouped by their index shift d = t - s, and a shift shared by
 enough edges becomes one source mask S_d, so
 
-    pre_image(B) = OR_d S_d & (B >> d)      image(A) = OR_d (A & S_d) << d
+    pre_image(B) = OR_d S_d & (B >> d)
 
 (a negative d shifts the other way). Events of the model language are
 affine updates behind guards, so they need one to three such shifts however
@@ -18,7 +18,7 @@ rest are kept as two index arrays sorted by source. "Enough" is 1/1024 of
 the source space, and at least two: a mask then takes at most 8 times the
 memory the index arrays would take for its edges, and one operation
 instead of one per edge. When the masks would outnumber the relation's
-distinct targets, the plan groups by target only, so an unstructured
+distinct targets, the relation groups by target only, so an unstructured
 relation costs one mask operation per target, as a table of predecessor
 rows would.
 """
@@ -28,8 +28,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, count
-from typing import Collection, Iterable, Iterator, Sequence
+from itertools import chain, compress, count
+from typing import Collection, Iterable, Iterator
 
 
 class SpaceMismatchError(Exception):
@@ -167,81 +167,136 @@ class StateSet:
 class StateRelation:
     """A relation between two spaces, possibly partial and non-functional.
 
-    The edges are stored once, as an `EdgePlan`, which is canonical for a
-    given edge set and the two sizes; it is the relation's value for
-    equality and hashing, and `pairs` is read off it on demand.
+    The edges are stored once, as shift masks S_d, target masks P_t and a
+    remainder of index arrays (see the module docstring):
+
+        pre_image(B) = OR_d S_d & (B >> d) | OR_{t in B} P_t | rest^-1(B)
+
+    `right` holds the shifts d >= 0 as (d, S_d), `left` the shifts d < 0 as
+    (-d, S_d), `columns` maps t to P_t, and the remainder is the edges
+    (rest_sources[i], rest_targets[i]), sorted. The layout is canonical for
+    a given edge set and the two sizes, and `pairs` is read off it on
+    demand. `successors` reads one byte per state of each mask, built on
+    its first call.
     """
+
+    __slots__ = (
+        "source", "target", "right", "left", "columns", "rest_sources", "rest_targets",
+        "_column_mask", "_domain", "_rows", "__weakref__",
+    )
 
     def __init__(self, source: StateSpace, target: StateSpace, pairs: Iterable[tuple[int, int]]):
         self.source = source
         self.target = target
-        edges = set(pairs)
-        for s, t in edges:
-            if not 0 <= s < source.size:
+        n, m = source.size, target.size
+        by_shift: dict[int, set[int]] = {}
+        for s, t in pairs:
+            if not 0 <= s < n:
                 raise ValueError(f"relation source index {s} out of range for {source.id!r}")
-            if not 0 <= t < target.size:
+            if not 0 <= t < m:
                 raise ValueError(f"relation target index {t} out of range for {target.id!r}")
-        self._plan = EdgePlan(edges, source.size, target.size)
+            by_shift.setdefault(t - s, set()).add(s)
+        least = max(2, n >> 10)
+        shifts = {d for d, sources in by_shift.items() if len(sources) >= least}
+        by_target = _by_target(by_shift, shifts)
+        if shifts:
+            targets = {s + d for d, sources in by_shift.items() for s in sources}
+            if len(shifts) + len(by_target) > len(targets):
+                # grouping by shift leaves more groups than grouping by target
+                shifts = set()
+                by_target = _by_target(by_shift, shifts)
+        columns = {t for t, sources in by_target.items() if len(sources) >= least}
+        masks = sorted((d, _mask_of(by_shift[d])) for d in shifts)
+        self.right = tuple((d, mask) for d, mask in masks if d >= 0)
+        self.left = tuple((-d, mask) for d, mask in masks if d < 0)
+        self.columns = {t: _mask_of(by_target[t]) for t in sorted(columns)}
+        self._column_mask = _mask_of(list(self.columns))
+        rest = sorted((s, t) for t, sources in by_target.items() if t not in columns
+                      for s in sources)
+        self.rest_sources = array("q", [s for s, _ in rest])
+        self.rest_targets = array("q", [t for _, t in rest])
+        domain = _mask_of(self.rest_sources)
+        for _, mask in masks:
+            domain |= mask
+        for mask in self.columns.values():
+            domain |= mask
+        self._domain = domain
+        self._rows: tuple[tuple[bytes, int, bool], ...] | None = None
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
         """Every edge as a (source, target) tuple."""
-        return frozenset(self._plan.edges())
+        return frozenset(chain(
+            ((s, s + d) for d, sources in self.right for s in _indices(sources)),
+            ((s, s - d) for d, sources in self.left for s in _indices(sources)),
+            ((s, t) for t, sources in self.columns.items() for s in _indices(sources)),
+            zip(self.rest_sources, self.rest_targets),
+        ))
 
     @classmethod
     def identity(cls, space: StateSpace) -> "StateRelation":
         return cls(space, space, ((i, i) for i in range(space.size)))
 
-    def successors(self, index: int) -> tuple[int, ...]:
+    def successors(self, x: int) -> tuple[int, ...]:
         """The targets related to one source state, ascending."""
-        return self._plan.successors(index)
+        rows = self._rows
+        if rows is None:
+            n = self.source.size
+            rows = self._rows = (
+                tuple((_flags(m, n), d, True) for d, m in self.right)
+                + tuple((_flags(m, n), -d, True) for d, m in self.left)
+                + tuple((_flags(m, n), t, False) for t, m in self.columns.items())
+            )
+        out = [x + t if shift else t for flags, t, shift in rows if flags[x]]
+        rest = self.rest_sources
+        if rest:
+            lo = bisect_left(rest, x)
+            out += self.rest_targets[lo:bisect_right(rest, x, lo)]
+        out.sort()
+        return tuple(out)
 
     def successors_mask(self, index: int) -> int:
-        return _mask_of(self._plan.successors(index))
-
-    def image(self, a: StateSet) -> StateSet:
-        """All targets of pairs whose source lies in a."""
-        if not a.space.same_as(self.source):
-            raise SpaceMismatchError(a.space, self.source, "take the image of")
-        return StateSet(self.target, self._plan.image(a.mask))
+        return _mask_of(self.successors(index))
 
     def pre_image_mask(self, mask: int) -> int:
         """Mask of all sources of pairs whose target bit is set in `mask`."""
-        return self._plan.pre_image(mask)
+        acc = 0
+        for d, sources in self.right:
+            acc |= sources & (mask >> d)
+        for d, sources in self.left:
+            acc |= sources & (mask << d)
+        columns = self.columns
+        for t in _indices(mask & self._column_mask):
+            acc |= columns[t]
+        if self.rest_sources:
+            acc |= _gather(self.rest_targets, self.rest_sources, mask, self.target.size)
+        return acc
 
     def inverse_image(self, s: StateSet) -> StateSet:
         """All sources of pairs whose target lies in s."""
         if not s.space.same_as(self.target):
             raise SpaceMismatchError(s.space, self.target, "take the inverse image of")
-        return StateSet(self.source, self._plan.pre_image(s.mask))
+        return StateSet(self.source, self.pre_image_mask(s.mask))
 
     def domain(self) -> StateSet:
         """The source states related to at least one target."""
-        return StateSet(self.source, self._plan.domain)
+        return StateSet(self.source, self._domain)
 
     def is_total(self) -> bool:
         """True iff every source state is related to at least one target."""
-        return self._plan.domain == self.source.full_mask
-
-    def _value(self) -> tuple:
-        """The two spaces and the edge plan, which is canonical for an edge set."""
-        plan = self._plan
-        return (
-            self.source.id, self.source.size, self.target.id, self.target.size,
-            plan.right, plan.left, tuple(plan.columns.items()),
-            plan.rest_sources.tobytes(), plan.rest_targets.tobytes(),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StateRelation):
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self) -> int:
-        return hash(self._value())
+        return self._domain == self.source.full_mask
 
     def __repr__(self) -> str:
         return f"StateRelation({self.source.id}->{self.target.id}, {sorted(self.pairs)})"
+
+
+def _by_target(by_shift: dict[int, set[int]], skip: set[int]) -> dict[int, list[int]]:
+    by_target: dict[int, list[int]] = {}
+    for d, sources in by_shift.items():
+        if d not in skip:
+            for s in sources:
+                by_target.setdefault(s + d, []).append(s)
+    return by_target
 
 
 # -- mask and index conversions ---------------------------------------------
@@ -273,7 +328,7 @@ def _indices(mask: int) -> list[int]:
     return list(compress(count(), bin(mask)[:1:-1].encode().translate(_DIGITS)))
 
 
-def _mask_of(indices: Sequence[int]) -> int:
+def _mask_of(indices: Collection[int]) -> int:
     """The mask with exactly the bits at the (nonnegative) indices set."""
     bits = bytearray((max(indices, default=0) >> 3) + 1)
     for i in indices:
@@ -286,112 +341,3 @@ def _gather(keys: array, values: array, mask: int, size: int) -> int:
     every key is below size."""
     flags = _flags(mask, size)
     return _mask_of(list(compress(values, map(flags.__getitem__, keys))))
-
-
-class EdgePlan:
-    """The edges of a relation as shift masks S_d, target masks P_t and a
-    remainder of index arrays (see the module docstring):
-
-        pre_image(B) = OR_d S_d & (B >> d) | OR_{t in B} P_t | rest^-1(B)
-        image(A)     = OR_d (A & S_d) << d | {t : A & P_t} | rest(A)
-
-    `right` holds the shifts d >= 0 as (d, S_d), `left` the shifts d < 0 as
-    (-d, S_d), `columns` maps t to P_t, and the remainder is the edges
-    (rest_sources[i], rest_targets[i]), sorted. `successors` reads one byte
-    per state of each mask, built on its first call.
-    """
-
-    __slots__ = (
-        "source_size", "target_size", "right", "left", "columns", "column_mask",
-        "rest_sources", "rest_targets", "domain", "_rows",
-    )
-
-    def __init__(self, pairs: Collection[tuple[int, int]], source_size: int, target_size: int):
-        self.source_size = source_size
-        self.target_size = target_size
-        least = max(2, source_size >> 10)
-        by_shift: dict[int, list[int]] = {}
-        for s, t in pairs:
-            by_shift.setdefault(t - s, []).append(s)
-        shifts = {d for d, sources in by_shift.items() if len(sources) >= least}
-        by_target = _by_target(by_shift, shifts)
-        if shifts and len(shifts) + len(by_target) > len({t for _, t in pairs}):
-            # grouping by shift leaves more groups than grouping by target
-            shifts = set()
-            by_target = _by_target(by_shift, shifts)
-        columns = {t for t, sources in by_target.items() if len(sources) >= least}
-        masks = sorted((d, _mask_of(by_shift[d])) for d in shifts)
-        self.right = tuple((d, m) for d, m in masks if d >= 0)
-        self.left = tuple((-d, m) for d, m in masks if d < 0)
-        self.columns = {t: _mask_of(by_target[t]) for t in sorted(columns)}
-        self.column_mask = _mask_of(list(self.columns))
-        rest = sorted((s, t) for t, sources in by_target.items() if t not in columns
-                      for s in sources)
-        self.rest_sources = array("q", [s for s, _ in rest])
-        self.rest_targets = array("q", [t for _, t in rest])
-        domain = _mask_of(self.rest_sources)
-        for _, m in masks:
-            domain |= m
-        for m in self.columns.values():
-            domain |= m
-        self.domain = domain
-        self._rows: tuple[tuple[bytes, int, bool], ...] | None = None
-
-    def pre_image(self, mask: int) -> int:
-        acc = 0
-        for d, sources in self.right:
-            acc |= sources & (mask >> d)
-        for d, sources in self.left:
-            acc |= sources & (mask << d)
-        columns = self.columns
-        for t in _indices(mask & self.column_mask):
-            acc |= columns[t]
-        if self.rest_sources:
-            acc |= _gather(self.rest_targets, self.rest_sources, mask, self.target_size)
-        return acc
-
-    def image(self, mask: int) -> int:
-        acc = 0
-        for d, sources in self.right:
-            acc |= (mask & sources) << d
-        for d, sources in self.left:
-            acc |= (mask & sources) >> d
-        acc |= _mask_of([t for t, sources in self.columns.items() if mask & sources])
-        if self.rest_sources:
-            acc |= _gather(self.rest_sources, self.rest_targets, mask, self.source_size)
-        return acc
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for d, sources in self.right:
-            yield from ((s, s + d) for s in _indices(sources))
-        for d, sources in self.left:
-            yield from ((s, s - d) for s in _indices(sources))
-        for t, sources in self.columns.items():
-            yield from ((s, t) for s in _indices(sources))
-        yield from zip(self.rest_sources, self.rest_targets)
-
-    def successors(self, x: int) -> tuple[int, ...]:
-        rows = self._rows
-        if rows is None:
-            n = self.source_size
-            rows = self._rows = (
-                tuple((_flags(m, n), d, True) for d, m in self.right)
-                + tuple((_flags(m, n), -d, True) for d, m in self.left)
-                + tuple((_flags(m, n), t, False) for t, m in self.columns.items())
-            )
-        out = [x + t if shift else t for flags, t, shift in rows if flags[x]]
-        rest = self.rest_sources
-        if rest:
-            lo = bisect_left(rest, x)
-            out += self.rest_targets[lo:bisect_right(rest, x, lo)]
-        out.sort()
-        return tuple(out)
-
-
-def _by_target(by_shift: dict[int, list[int]], skip: set[int]) -> dict[int, list[int]]:
-    by_target: dict[int, list[int]] = {}
-    for d, sources in by_shift.items():
-        if d not in skip:
-            for s in sources:
-                by_target.setdefault(s + d, []).append(s)
-    return by_target

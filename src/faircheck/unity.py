@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .commands import Command, Guard, Prim, grd_of, memo_on_owner, str_apply, transition_relation
+from .commands import Command, Guard, Prim, grd_of, memo_on_owner, transition_relation
 from .obligations import (
-    EngineDefect,
     EnsuresProperty,
     EventSystem,
     ObligationReport,
@@ -258,44 +257,6 @@ class FairLasso:
     stem: tuple[int, ...]
     cycle: tuple[int, ...]
     justifications: tuple[tuple[str, str, object], ...]  # (label, kind, witness)
-
-    def validate(self, sys: EventSystem, p: StateSet, q: StateSet) -> None:
-        """Check the lasso against the events' transformers, one str
-        evaluation per event and edge: t is an e-successor of x iff x is in
-        grd(e) and outside str(e)(u - {t}). Raises EngineDefect on the first
-        violated condition."""
-
-        def require(ok: bool, message: str) -> None:
-            if not ok:
-                raise EngineDefect(f"invalid lasso: {message}")
-
-        def connected(x: int, t: int, labels: Iterable[str] = sys.labels) -> bool:
-            avoid_t = sys.space.singleton(t).complement()
-            events = [sys.events[label] for label in labels]
-            return any(x in grd_of(e) and x not in str_apply(e, avoid_t) for e in events)
-
-        require(bool(self.cycle), "cycle must be nonempty")
-        walk = list(self.stem) + list(self.cycle)
-        require(walk[0] in p, "lasso must start in the left set")
-        for x in walk:
-            require(x not in q, "lasso must avoid the right set")
-        for a, b in zip(walk, walk[1:]):
-            require(connected(a, b), f"no event connects {a} to {b}")
-        require(connected(self.cycle[-1], self.cycle[0]), "cycle does not close")
-        covered = {label for label, _, _ in self.justifications}
-        require(covered == set(sys.labels), "justifications must cover every event")
-        pairs = list(zip(self.cycle, self.cycle[1:])) + [(self.cycle[-1], self.cycle[0])]
-        for label, kind, witness in self.justifications:
-            if kind == "disabled":
-                require(
-                    witness in self.cycle and witness not in grd_of(sys.events[label]),
-                    f"{label} is not disabled at {witness} on the cycle",
-                )
-                continue
-            require(kind == "taken", f"unknown justification kind {kind!r}")
-            s, t = witness  # type: ignore[misc]
-            require((s, t) in pairs, "taken transition must appear in the cycle")
-            require(connected(s, t, (label,)), "transition not in the event")
 
 
 @dataclass(frozen=True)

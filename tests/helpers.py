@@ -7,8 +7,9 @@ as raw subsets instead of running the engine's SCC pass, and the refinement
 simulation reference quantifies over every concrete subset using the raw
 gluing pairs. The pre-image and image references, the structural
 recursion's reading of a primitive command and the successor lists of
-generated systems all walk the raw pairs, so none of them uses the edge
-plan a relation is stored as.
+generated systems all walk the raw pairs, so none of them uses the masks
+and index arrays a relation is stored as. The lasso reference reads each
+edge off the events' transformers, not off their relations.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from faircheck import (
     Dovetail,
     EnsuresProperty,
     EventSystem,
+    FairLasso,
     Guard,
     Precond,
     Prim,
@@ -327,6 +329,50 @@ def check_deadlock_path(gsys: GenSystem, p: StateSet, q: StateSet, path: tuple[i
     assert not any(gsys.enabled(l, path[-1]) for l in labels)
 
 
+class InvalidLasso(Exception):
+    """A lasso that `check_lasso` rejects."""
+
+
+def check_lasso(lasso: FairLasso, system: EventSystem, p: StateSet, q: StateSet) -> None:
+    """Check a lasso against the events' transformers, one str evaluation
+    per event and edge: t is an e-successor of x iff x is in grd(e) and
+    outside str(e)(u - {t}). Raises InvalidLasso on the first violated
+    condition."""
+
+    def require(ok: bool, message: str) -> None:
+        if not ok:
+            raise InvalidLasso(f"invalid lasso: {message}")
+
+    def connected(x: int, t: int, labels: Iterable[str] = system.labels) -> bool:
+        avoid_t = system.space.singleton(t).complement()
+        events = [system.events[label] for label in labels]
+        return any(x in grd_of(e) and x not in str_apply(e, avoid_t) for e in events)
+
+    cycle = lasso.cycle
+    require(bool(cycle), "cycle must be nonempty")
+    walk = list(lasso.stem) + list(cycle)
+    require(walk[0] in p, "lasso must start in the left set")
+    for x in walk:
+        require(x not in q, "lasso must avoid the right set")
+    for a, b in zip(walk, walk[1:]):
+        require(connected(a, b), f"no event connects {a} to {b}")
+    require(connected(cycle[-1], cycle[0]), "cycle does not close")
+    covered = {label for label, _, _ in lasso.justifications}
+    require(covered == set(system.labels), "justifications must cover every event")
+    pairs = list(zip(cycle, cycle[1:])) + [(cycle[-1], cycle[0])]
+    for label, kind, witness in lasso.justifications:
+        if kind == "disabled":
+            require(
+                witness in cycle and witness not in grd_of(system.events[label]),
+                f"{label} is not disabled at {witness} on the cycle",
+            )
+            continue
+        require(kind == "taken", f"unknown justification kind {kind!r}")
+        s, t = witness  # type: ignore[misc]
+        require((s, t) in pairs, "taken transition must appear in the cycle")
+        require(connected(s, t, (label,)), "transition not in the event")
+
+
 def _strongly_connected_with_edge(cset: set[int], succ: dict[int, set[int]]) -> bool:
     start = next(iter(cset))
     inside = {x: succ[x] & cset for x in cset}
@@ -450,11 +496,15 @@ def cosingleton_simulation_gaps(pair: RefinementPair, concrete_label: str) -> se
     abstract_cmd = Skip(u) if target is None else pair.abstract.events[target]
     concrete_cmd = pair.concrete.events[concrete_label]
     universe = v.universe()
+    glued = pair.gluing.pairs
+
+    def box(s: StateSet) -> StateSet:
+        """The abstract states glued only to concrete states of s."""
+        return StateSet(u, pair_image(glued, s.complement().mask)).complement()
+
     gaps: set[int] = set()
     for s in [universe] + [universe - v.singleton(t) for t in range(v.size)]:
-        lhs = str_apply(abstract_cmd, pair.gluing.image(s.complement()).complement())
-        rhs = pair.gluing.image(str_apply(concrete_cmd, s).complement()).complement()
-        gaps.update((lhs - rhs).members())
+        gaps.update((str_apply(abstract_cmd, box(s)) - box(str_apply(concrete_cmd, s))).members())
     return gaps
 
 
@@ -558,7 +608,7 @@ def split_refinement(
 
 
 # ---------------------------------------------------------------------------
-# Edge plan: per-pair references and relation families
+# Relations: per-pair references and relation families
 # ---------------------------------------------------------------------------
 
 
@@ -591,9 +641,9 @@ def pair_image(pairs: Iterable[tuple[int, int]], mask: int) -> int:
 
 
 def kernel_relations(rng: random.Random) -> list[tuple[str, StateRelation]]:
-    """Seeded relations of every shape the edge plan distinguishes, at sizes
-    below and above one machine word, and large enough that a mask needs
-    more than two edges."""
+    """Seeded relations of every shape that a relation's masks and index
+    arrays distinguish, at sizes below and above one machine word, and large
+    enough that a mask needs more than two edges."""
     out: list[tuple[str, StateRelation]] = []
     for n in (1, 5, 70, 200):
         space = StateSpace(f"k{n}", n)

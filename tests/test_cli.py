@@ -712,6 +712,52 @@ def test_json_witnesses_are_bounded_and_counted(capsys, tmp_path):
     assert f"{'WF1:P':<28} fail  [x=0, x=1, x=2, x=3]" in out.splitlines()
 
 
+# done is disabled only at x = 1999, so the lasso's cycle walks from x = 0
+# up to x = 1999 and back, 4000 states
+FAR_END = (
+    "system ring\n var x : 0..2000\n"
+    " event inc when x < 2000 then x := x + 1 end\n"
+    " event back when x > 0 and x < 2000 then x := x - 1 end\n"
+    " event done when x < 1999 then x := 2000 end\n"
+    "end\n"
+    "property L leadsto from x < 2000 to x = 2000\n"
+)
+
+# the lasso's stem walks x = 0..199 into the cycle 200 <-> 201
+LONG_STEM = (
+    "system walk\n var x : 0..300\n"
+    " event inc when x < 200 then x := x + 1 end\n"
+    " event spin when x = 200 or x = 201 then x := 401 - x end\n"
+    "end\n"
+    "property L leadsto from x = 0 to x = 300\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source, keys, cut",
+    [
+        (FAR_END, ["stem", "cycle", "cycle_length", "justifications"], ("cycle", 4000)),
+        (LONG_STEM, ["stem", "stem_length", "cycle", "justifications"], ("stem", 200)),
+    ],
+    ids=["cycle", "stem"],
+)
+def test_json_lasso_is_bounded_and_counted(capsys, tmp_path, source, keys, cut):
+    # JSON renders the first 100 states of a longer stem or cycle and adds
+    # its length
+    model = tmp_path / "lasso.fb"
+    model.write_text(source)
+    code, out = _run(capsys, "oracle", str(model), "--property", "L", "--format", "json")
+    assert code == 1
+    assert len(out) < 20_000
+    data = json.loads(out)
+    assert validate_report(data) == []
+    lasso = data["obligations"][0]["lasso"]
+    assert list(lasso) == keys
+    part, length = cut
+    assert len(lasso[part]) == 100 and lasso[part][0] == "x=0"
+    assert lasso[f"{part}_length"] == length
+
+
 def test_validate_report_reads_witness_count():
     entry = {"id": "E", "verdict": "fail", "witnesses": [], "refs": []}
     doc = {"version": "1", "model": "m", "obligations": [entry]}
@@ -719,6 +765,18 @@ def test_validate_report_reads_witness_count():
     for count, ok in ((3, True), (0, True), (-1, False), ("3", False), (True, False)):
         entry["witness_count"] = count
         assert (validate_report(doc) == []) == ok, count
+    del entry["witness_count"]
+    # the lasso's lengths are read the same way
+    entry["lasso"] = {"stem": ["x=0"], "cycle": ["x=1"], "justifications": []}
+    assert validate_report(doc) == []
+    for key in ("stem_length", "cycle_length"):
+        for count, ok in ((3, True), (1, True), (0, False), ("3", False), (True, False)):
+            entry["lasso"][key] = count
+            assert (validate_report(doc) == []) == ok, (key, count)
+        del entry["lasso"][key]
+    for lasso in ([], {"stem": []}, {"stem": "x=0", "cycle": []}):
+        entry["lasso"] = lasso
+        assert validate_report(doc) != [], lasso
 
 
 def test_blocked_preserved_ensures_renders_no_abstract_witness(capsys, tmp_path):

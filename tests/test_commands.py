@@ -334,7 +334,7 @@ def test_seq_pre_uses_first_command():
 
 @pytest.mark.parametrize("family", ["generated", "models"])
 def test_liberal_prim_matches_per_state_scan(family):
-    # structural_wp reads Prim off its raw pairs, never the edge plan
+    # structural_wp reads Prim off its raw pairs, never the relation's masks
     rng = random.Random(31)
     relations = kernel_relations(rng) if family == "generated" else model_relations()
     checked = 0

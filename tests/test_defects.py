@@ -1,4 +1,5 @@
-"""Engine self-checks raise EngineDefect, also under `python -O`."""
+"""Engine self-checks raise EngineDefect, also under `python -O`, and the
+lasso reference rejects every kind of invalid lasso."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from faircheck.elaborator import elaborate
 from faircheck.fairloop import LoopCheck
 from faircheck.parser import parse_document
 from faircheck.unity import semantic_leadsto
+from helpers import InvalidLasso, check_lasso
 
 ROOT = Path(__file__).parent.parent
 
@@ -45,7 +47,7 @@ def lasso_case(ctr):
     done1 = Guard(space.subset([1]), Prim(StateRelation(space, space, [(1, 3)])))
     system = EventSystem(space, {"inc": ctr.inc, "done1": done1})
     lasso = semantic_leadsto(system, ctr.p, ctr.q).lasso
-    lasso.validate(system, ctr.p, ctr.q)
+    check_lasso(lasso, system, ctr.p, ctr.q)
     return system, ctr.p, ctr.q, lasso
 
 
@@ -54,7 +56,7 @@ def _justify(lasso, label, kind, witness):
     return rest + ((label, kind, witness),)
 
 
-# each mutation of the valid lasso breaks one check of `validate`
+# each mutation of the valid lasso breaks one check of `check_lasso`
 BROKEN = {
     "cycle must be nonempty": lambda l: dataclasses.replace(l, stem=(1,), cycle=()),
     "must start in the left set": lambda l: dataclasses.replace(l, stem=(0,) + l.stem),
@@ -82,8 +84,8 @@ BROKEN = {
 @pytest.mark.parametrize("defect", sorted(BROKEN))
 def test_invalid_lasso_raises(lasso_case, defect):
     system, p, q, lasso = lasso_case
-    with pytest.raises(EngineDefect, match=f"invalid lasso: .*{defect}"):
-        BROKEN[defect](lasso).validate(system, p, q)
+    with pytest.raises(InvalidLasso, match=f"invalid lasso: .*{defect}"):
+        check_lasso(BROKEN[defect](lasso), system, p, q)
 
 
 _UNDER_O = """

@@ -64,7 +64,7 @@ def test_labels_render_states():
 
 def test_elaborated_model_keeps_one_value_tuple_per_state():
     # a per-state dict and label string kept about 290 bytes per state of
-    # Ring(4001); its value tuple, the guard masks and the edge plans keep
+    # Ring(4001); its value tuple, the guard masks and the relations keep
     # about 90
     doc = parse_document(load_calibrate().ring_text(4001)).document
     gc.collect()

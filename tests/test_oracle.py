@@ -30,6 +30,7 @@ from helpers import (
     ast_system,
     bounded_fair_lasso_exists,
     check_deadlock_path,
+    check_lasso,
     fair_avoidance_exists,
     random_relation,
     random_subset,
@@ -68,7 +69,7 @@ def test_oracle_without_helpful_event_finds_lasso(ctr):
     assert lasso is not None
     assert set(lasso.cycle) == {1, 2}
     assert dict((l, k) for l, k, _ in lasso.justifications) == {"inc": "taken"}
-    lasso.validate(system, ctr.p, ctr.q)
+    check_lasso(lasso, system, ctr.p, ctr.q)
 
 
 def test_oracle_lasso_records_disabled_events(ctr):
@@ -86,7 +87,7 @@ def test_oracle_lasso_records_disabled_events(ctr):
     assert just["done1"][0] == "disabled"
     assert just["done1"][1] == 2 and 2 in lasso.cycle
     assert just["inc"][0] == "taken"
-    lasso.validate(system, ctr.p, ctr.q)
+    check_lasso(lasso, system, ctr.p, ctr.q)
 
 
 def test_oracle_reports_reachable_deadlock(ctr_leaky):
@@ -105,7 +106,7 @@ def test_oracle_self_loop_component():
     result = semantic_leadsto(system, space.subset([0]), space.subset([1]))
     assert not result.holds
     assert result.lasso is not None and result.lasso.cycle == (0,)
-    result.lasso.validate(system, space.subset([0]), space.subset([1]))
+    check_lasso(result.lasso, system, space.subset([0]), space.subset([1]))
 
 
 def test_oracle_fairness_forces_exit_through_target():
@@ -122,7 +123,7 @@ def test_oracle_fairness_forces_exit_through_target():
     system2 = EventSystem(space, {"spin": spin, "exit": exit0})
     result = semantic_leadsto(system2, space.subset([0, 1]), space.subset([2]))
     assert not result.holds
-    result.lasso.validate(system2, space.subset([0, 1]), space.subset([2]))
+    check_lasso(result.lasso, system2, space.subset([0, 1]), space.subset([2]))
 
 
 def test_tarjan_matches_bruteforce_sccs():
@@ -195,7 +196,7 @@ def test_oracle_agrees_with_subset_enumeration_exhaustive_two_states():
                 got = semantic_leadsto(system, p, q)
                 assert got.holds == expected, (g1, r1, g2, r2, pmask, qmask)
                 if got.lasso is not None:
-                    got.lasso.validate(system, p, q)
+                    check_lasso(got.lasso, system, p, q)
                 if got.deadlock_path is not None:
                     check_deadlock_path(gsys, p, q, got.deadlock_path)
                     deadlocks += 1
@@ -213,7 +214,7 @@ def _check_against_reference(gsys: GenSystem, p: StateSet, q: StateSet) -> Oracl
     result = semantic_leadsto(gsys.system, p, q)
     assert result.holds == (not fair_avoidance_exists(gsys, p, q))
     if result.lasso is not None:
-        result.lasso.validate(gsys.system, p, q)
+        check_lasso(result.lasso, gsys.system, p, q)
     if result.deadlock_path is not None:
         check_deadlock_path(gsys, p, q, result.deadlock_path)
     return result
@@ -345,7 +346,7 @@ def test_lasso_validation_costs_one_str_call_per_event_and_edge(monkeypatch):
 
     monkeypatch.setattr("faircheck.commands.str_apply", counted)
     monkeypatch.setattr("faircheck.unity.str_apply", counted, raising=False)
-    lasso.validate(system, p, q)
+    check_lasso(lasso, system, p, q)
     events = len(system.labels)
     bound = (len(lasso.stem) + len(lasso.cycle) + 1) * events + len(lasso.justifications)
     assert len(calls) <= bound, (len(calls), bound)

@@ -4,11 +4,11 @@ import dataclasses
 import gc
 import random
 import tracemalloc
+import weakref
 
 import pytest
 
 from faircheck import SpaceMismatchError, StateRelation, StateSet, StateSpace
-from faircheck.sets import EdgePlan
 from helpers import kernel_relations, model_relations, pair_image, pair_pre_image
 
 
@@ -43,15 +43,14 @@ def test_space_invariants():
         StateSpace("u", 2).subset([5])
 
 
-def test_image_and_inverse_image():
+def test_inverse_image():
     space = StateSpace("u", 3)
     identity = StateRelation.identity(space)
-    assert identity.image(space.subset([1])).members() == (1,)
     assert identity.inverse_image(space.subset([2])).members() == (2,)
 
     rel = StateRelation(space, space, [(0, 0), (0, 1), (1, 1)])
-    assert rel.image(space.subset([0])).members() == (0, 1)
-    assert rel.image(space.empty()).is_empty()
+    assert rel.inverse_image(space.subset([1])).members() == (0, 1)
+    assert rel.inverse_image(space.empty()).is_empty()
     back = StateRelation(space, space, [(0, 0), (1, 0)])
     assert back.inverse_image(space.subset([0])).members() == (0, 1)
 
@@ -74,7 +73,7 @@ def test_total_relation_inverse_image_of_universe_is_universe():
     assert rel.inverse_image(u.universe()) == v.universe()
 
 
-def test_image_monotone_exhaustive():
+def test_inverse_image_monotone_exhaustive():
     space = StateSpace("u", 4)
     rng = random.Random(7)
     rel = StateRelation(
@@ -84,13 +83,13 @@ def test_image_monotone_exhaustive():
     for a in sets:
         for b in sets:
             if a.is_subset(b):
-                assert rel.image(a).is_subset(rel.image(b))
                 assert rel.inverse_image(a).is_subset(rel.inverse_image(b))
 
 
 def test_galois_connection_exhaustive():
     # r[a] <= b iff r^-1[~b] <= ~a, for every a over the source and b over
-    # the target; checked on all subset pairs of a 3x3 relation
+    # the target; checked on all subset pairs of a 3x3 relation, with the
+    # image r[a] read off the raw pairs
     source, target = StateSpace("v", 3), StateSpace("u", 3)
     rng = random.Random(11)
     rel = StateRelation(
@@ -98,7 +97,7 @@ def test_galois_connection_exhaustive():
     )
     for a in source.all_subsets():
         for b in target.all_subsets():
-            left = rel.image(a).is_subset(b)
+            left = StateSet(target, pair_image(rel.pairs, a.mask)).is_subset(b)
             right = rel.inverse_image(b.complement()).is_subset(a.complement())
             assert left == right
 
@@ -137,9 +136,14 @@ def _distinct_targets(rel: StateRelation) -> int:
     return len({t for _, t in rel.pairs})
 
 
-def _classes(plan: EdgePlan) -> int:
+def _classes(rel: StateRelation) -> int:
     """Shift masks plus per-target masks."""
-    return len(plan.right) + len(plan.left) + len(plan.columns)
+    return len(rel.right) + len(rel.left) + len(rel.columns)
+
+
+def _layout(rel: StateRelation) -> tuple:
+    """The masks and index arrays a relation stores its edges as."""
+    return rel.right, rel.left, rel.columns, rel.rest_sources, rel.rest_targets
 
 
 def _relations(family: str, seed: int) -> list[tuple[str, StateRelation]]:
@@ -160,16 +164,6 @@ def test_pre_image_kernel_matches_pair_reference(family):
 
 
 @pytest.mark.parametrize("family", ["generated", "models"])
-def test_image_kernel_matches_pair_reference(family):
-    rng = random.Random(2025)
-    for name, rel in _relations(family, 2025):
-        pairs = rel.pairs
-        for mask in _probe_masks(rng, rel.source):
-            expect = pair_image(pairs, mask)
-            assert rel.image(StateSet(rel.source, mask)).mask == expect, (name, mask)
-
-
-@pytest.mark.parametrize("family", ["generated", "models"])
 def test_successors_and_totality_match_pair_reference(family):
     for name, rel in _relations(family, 2026):
         rows: dict[int, set[int]] = {}
@@ -186,7 +180,7 @@ def test_successors_and_totality_match_pair_reference(family):
 @pytest.mark.parametrize("family", ["generated", "models"])
 def test_pre_image_plan_has_at_most_one_class_per_target(family):
     for name, rel in _relations(family, 77):
-        assert _classes(rel._plan) <= _distinct_targets(rel), name
+        assert _classes(rel) <= _distinct_targets(rel), name
 
 
 def test_pre_image_plan_shapes():
@@ -196,20 +190,19 @@ def test_pre_image_plan_shapes():
         space,
         [(s, s + 7) for s in range(250)] + [(s, s - 2) for s in range(2, 300)] + [(10, 0)],
     )
-    plan = EdgePlan(ring.pairs, 300, 300)
     # two shift classes; the single edge of shift -10 is kept as indices
-    assert [d for d, _ in plan.right] == [7]
-    assert [d for d, _ in plan.left] == [2]
-    assert plan.columns == {}
-    assert list(zip(plan.rest_sources, plan.rest_targets)) == [(10, 0)]
-    assert _classes(plan) == 2
+    assert [d for d, _ in ring.right] == [7]
+    assert [d for d, _ in ring.left] == [2]
+    assert ring.columns == {}
+    assert list(zip(ring.rest_sources, ring.rest_targets)) == [(10, 0)]
+    assert _classes(ring) == 2
     complete = StateRelation(space, space, [(s, t) for s in range(300) for t in range(300)])
     # 597 shared shifts against 300 targets: per-target only
-    plan = EdgePlan(complete.pairs, 300, 300)
-    assert plan.right == plan.left == ()
-    assert _classes(plan) == 300
-    assert len(plan.rest_sources) == 0
-    assert _classes(EdgePlan(frozenset(), 1, 1)) == 0
+    assert complete.right == complete.left == ()
+    assert _classes(complete) == 300
+    assert len(complete.rest_sources) == 0
+    one = StateSpace("o", 1)
+    assert _classes(StateRelation(one, one, [])) == 0
     # at 12000 states a mask needs 11 edges: 8 edges of shift +3 and the 5
     # sources of target 11999 stay indices, the 7 large targets are masks
     big = StateSpace("b", 12000)
@@ -218,31 +211,36 @@ def test_pre_image_plan_shapes():
         + [(s, s % 7 * 1000) for s in range(12000)]
         + [(s, 11999) for s in range(0, 12000, 2400)]
     )
-    plan = StateRelation(big, big, pairs)._plan
-    assert plan.right == plan.left == ()
-    assert sorted(plan.columns) == [0, 1000, 2000, 3000, 4000, 5000, 6000]
-    assert len(plan.rest_sources) == 8 + 5
+    rel = StateRelation(big, big, pairs)
+    assert rel.right == rel.left == ()
+    assert sorted(rel.columns) == [0, 1000, 2000, 3000, 4000, 5000, 6000]
+    assert len(rel.rest_sources) == 8 + 5
 
 
 def test_pre_image_plan_is_built_once_and_replaces_predecessor_rows():
     space = StateSpace("u", 10)
     rel = StateRelation(space, space, [(s, (s + 1) % 10) for s in range(10)])
-    plan = rel._plan
+    layout = _layout(rel)
     assert rel.inverse_image(space.subset([3])).members() == (2,)
-    assert rel.image(space.subset([9])).members() == (0,)
+    assert rel.pre_image_mask(1) == 1 << 9
     assert rel.successors(4) == (5,)
-    assert rel._plan is plan
+    assert all(a is b for a, b in zip(_layout(rel), layout))
     assert not hasattr(rel, "_pred")
 
 
 def test_relation_keeps_no_successor_rows():
     space = StateSpace("u", 10)
     rel = StateRelation(space, space, [(s, (s + 1) % 10) for s in range(10)])
-    assert not hasattr(rel, "_succ")
-    assert set(vars(rel)) == {"source", "target", "_plan"}
+    assert not hasattr(rel, "_succ") and not hasattr(rel, "__dict__")
+    assert StateRelation.__slots__ == (
+        "source", "target", "right", "left", "columns", "rest_sources", "rest_targets",
+        "_column_mask", "_domain", "_rows", "__weakref__",
+    )
+    # weak references to relations show that no report keeps a model alive
+    assert weakref.ref(rel)() is rel
 
 
-def test_pairs_and_equality_are_read_off_the_plan():
+def test_pairs_are_canonical_for_an_edge_set():
     rng = random.Random(11)
     for n in (5, 200, 12000):
         space = StateSpace("u", n)
@@ -253,12 +251,12 @@ def test_pairs_and_equality_are_read_off_the_plan():
         shuffled = raw + raw[: n // 2]
         rng.shuffle(shuffled)
         same = StateRelation(space, space, shuffled)
-        assert same == rel and hash(same) == hash(rel)
+        assert same.pairs == rel.pairs and _layout(same) == _layout(rel)
         drop = rng.choice(sorted(set(raw)))
-        assert StateRelation(space, space, set(raw) - {drop}) != rel
-        assert rel != StateRelation(StateSpace("w", n), space, raw)
-        # single edges are kept as index pairs: same source, other target
-        assert StateRelation(space, space, [(0, 1)]) != StateRelation(space, space, [(0, 2)])
+        assert StateRelation(space, space, set(raw) - {drop}).pairs == rel.pairs - {drop}
+        # a single edge is kept as an index pair and read back with its target
+        assert StateRelation(space, space, [(0, 1)]).pairs == {(0, 1)}
+        assert StateRelation(space, space, [(0, 2)]).pairs == {(0, 2)}
 
 
 def _reference_members(space: StateSpace, mask: int) -> tuple[int, ...]:
@@ -313,7 +311,6 @@ def _retained_bytes(n: int) -> int:
     try:
         rel = StateRelation(space, space, edges())
         rel.pre_image_mask(space.full_mask >> 1)
-        rel.image(StateSet(space, space.full_mask >> 1))
         rel.successors(n // 2)
         gc.collect()
         return tracemalloc.get_traced_memory()[0]
@@ -323,7 +320,7 @@ def _retained_bytes(n: int) -> int:
 
 def test_relation_keeps_no_pair_tuples():
     # a frozenset of the pair tuples takes about 480 bytes per state here;
-    # the plan's masks, index arrays and successor flags take about 5
+    # the relation's masks, index arrays and successor flags take about 5
     assert _retained_bytes(12000) <= 16 * 12000
 
 
