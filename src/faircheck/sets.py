@@ -237,7 +237,7 @@ class StateRelation:
     def identity(cls, space: StateSpace) -> "StateRelation":
         return cls(space, space, ((i, i) for i in range(space.size)))
 
-    def successors(self, x: int) -> tuple[int, ...]:
+    def successors(self, index: int) -> tuple[int, ...]:
         """The targets related to one source state, ascending."""
         rows = self._rows
         if rows is None:
@@ -247,11 +247,11 @@ class StateRelation:
                 + tuple((_flags(m, n), -d, True) for d, m in self.left)
                 + tuple((_flags(m, n), t, False) for t, m in self.columns.items())
             )
-        out = [x + t if shift else t for flags, t, shift in rows if flags[x]]
+        out = [index + t if shift else t for flags, t, shift in rows if flags[index]]
         rest = self.rest_sources
         if rest:
-            lo = bisect_left(rest, x)
-            out += self.rest_targets[lo:bisect_right(rest, x, lo)]
+            lo = bisect_left(rest, index)
+            out += self.rest_targets[lo:bisect_right(rest, index, lo)]
         out.sort()
         return tuple(out)
 
