@@ -19,7 +19,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .commands import MAX_CHECK_STATES, Command, Guard, Prim, conjunctivity_check
 from .obligations import EngineDefect, EnsuresProperty, EventSystem, ModelError
@@ -177,14 +177,13 @@ def _check_unique(names: Iterable[str], message: str) -> None:
         seen.add(name)
 
 
-def _check_reads(scope: frozenset[str], context: str, *nodes: Pred | Expr) -> None:
-    """Every name the nodes read is in scope; names are visited in text order."""
+def _reads(*nodes: Pred | Expr) -> Iterator[str]:
+    """The names the nodes read, in text order, repeats included."""
     stack = list(reversed(nodes))
     while stack:
         node = stack.pop()
         if isinstance(node, EVar):
-            if node.name not in scope:
-                raise ElaborationError(f"{context}: unknown variable {node.name!r}")
+            yield node.name
         elif isinstance(node, (PAnd, POr)):
             stack.extend(reversed(node.operands))
         elif isinstance(node, EBin):
@@ -194,6 +193,14 @@ def _check_reads(scope: frozenset[str], context: str, *nodes: Pred | Expr) -> No
             stack += (node.right, node.left)
         elif isinstance(node, (ENeg, PNot)):
             stack.append(node.inner)
+
+
+def _check_reads(scope: frozenset[str], context: str, *nodes: Pred | Expr) -> None:
+    """Every name the nodes read is in scope; the first one that is not is
+    reported."""
+    for name in _reads(*nodes):
+        if name not in scope:
+            raise ElaborationError(f"{context}: unknown variable {name!r}")
 
 
 def _check_updates(
@@ -319,6 +326,32 @@ def _check_document(doc: ModelDocument) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _holds(
+    pred: Pred,
+    variables: tuple[VarDecl, ...],
+    valuations: Sequence[tuple[int, ...]],
+    envs: list[dict[str, int]],
+) -> list[int]:
+    """The states where pred holds, ascending. When the variables pred reads
+    have fewer joint valuations than there are states, pred is evaluated
+    once per such valuation, and each state projects its value tuple onto
+    them to look up its truth; otherwise pred is evaluated on each state."""
+    names = list(dict.fromkeys(_reads(pred)))
+    column = {v.name: k for k, v in enumerate(variables)}
+    cols = [column[name] for name in names]
+    ranges = [range(variables[k].lo, variables[k].hi + 1) for k in cols]
+    if math.prod(map(len, ranges)) >= len(valuations):
+        return [i for i, env in enumerate(envs) if eval_pred(pred, env)]
+    if not cols:  # a constant
+        return list(range(len(valuations))) if eval_pred(pred, {}) else []
+    # keyed as itemgetter projects: one index gives the value, not a 1-tuple
+    key_of = operator.itemgetter(*range(len(cols)))
+    table = {key_of(key): eval_pred(pred, dict(zip(names, key)))
+             for key in itertools.product(*ranges)}
+    truth = map(table.__getitem__, map(operator.itemgetter(*cols), valuations))
+    return list(itertools.compress(itertools.count(), truth))
+
+
 def _choice_count(updates: tuple[Update, ...]) -> int:
     """The post-states the event's assignment list (inside its any-blocks)
     enumerates per pre-state when it has a choice update: the product of
@@ -431,13 +464,11 @@ def _elaborate_block(
     events: dict[str, Command] = {}
     for event in decl.events:
         context = f"{decl.name}.{event.name}"
-        guard_members = []
         pairs: list[tuple[int, int]] = []
         budget, choices = [0, max_states], _choice_count(event.updates)
-        for i, env in enumerate(envs):
-            if not eval_pred(event.guard, env):
-                continue
-            guard_members.append(i)
+        guard_members = _holds(event.guard, decl.variables, valuations, envs)
+        for i in guard_members:
+            env = envs[i]
             for key in _successor_bindings(event.updates, env, names, context, budget, choices):
                 j = index_of.get(key)
                 if j is None:
@@ -480,8 +511,7 @@ def elaborate(doc: ModelDocument, max_states: int = DEFAULT_MAX_STATES) -> Elabo
     owners.update({name: ref.concrete for name, ref in refinements.items()})
 
     def set_of(owner: ElaboratedSystem, pred: Pred) -> StateSet:
-        members = [i for i, env in enumerate(envs[owner.name]) if eval_pred(pred, env)]
-        return owner.space.subset(members)
+        return owner.space.subset(_holds(pred, owner.variables, owner.valuations, envs[owner.name]))
 
     properties: dict[str, ElaboratedProperty] = {}
     for pdecl in doc.properties:

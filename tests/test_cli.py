@@ -957,12 +957,16 @@ def test_report_is_the_concatenation_of_its_subcommands(capsys):
         assert obligations("report", path) == parts
 
 
-@pytest.mark.parametrize("model", ["ctr", "ctr_leak", "fuzz_seed"])
+@pytest.mark.parametrize("model", ["ctr", "ctr_leak", "fuzz_seed", "tokens"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_report_matches_golden_output(capsys, monkeypatch, model, fmt):
     # tests/golden holds the report as the per-state liberal transformer
     # produced it; the pre-image kernel must not change a byte.
-    # tests/fuzz_seed.fb uses every construct of the language
+    # tests/fuzz_seed.fb uses every construct of the language.
+    # models/tokens.fb's invariant carves its box, and its predicates read
+    # fewer joint valuations than it has states; its golden files were
+    # written when every predicate was walked on every state, so the
+    # valuation table must not change a byte either
     monkeypatch.chdir(ROOT)
     path = "tests/fuzz_seed.fb" if model == "fuzz_seed" else f"models/{model}.fb"
     code, out = _run(capsys, "report", path, "--format", fmt)

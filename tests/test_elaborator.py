@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
+import math
 import random
 import tracemalloc
 from pathlib import Path
@@ -9,8 +11,8 @@ import pytest
 
 from faircheck import check_ensures, check_unless, grd_of, semantic_leadsto
 from faircheck.elaborator import ElaborationError, elaborate, eval_expr, eval_pred
-from faircheck.parser import parse_document
-from helpers import load_calibrate
+from faircheck.parser import EVar, Expr, Pred, parse_document
+from helpers import load_calibrate, load_workloads
 
 CTR_SOURCE = (Path(__file__).parent.parent / "models" / "ctr.fb").read_text()
 
@@ -289,3 +291,181 @@ def test_mixed_operator_chains_evaluate_as_python_does():
         event = result.document.systems[0].events[0]
         assert eval_expr(event.updates[0].value, env) == eval(expr, {}, dict(env))
         assert eval_pred(event.guard, env) == eval(pred.replace("/=", "!="), {}, dict(env))
+
+
+# ---------------------------------------------------------------------------
+# Predicate sets: one evaluation per valuation of the names read
+# ---------------------------------------------------------------------------
+
+CMPS = ("=", "/=", "<", "<=", ">", ">=")
+
+
+def _operand(rng: random.Random, names: list[str]) -> str:
+    if names and rng.random() < 0.7:
+        return rng.choice(("", "-")) + rng.choice(names)
+    return str(rng.randint(-3, 3))
+
+
+def _atom(rng: random.Random, names: list[str]) -> str:
+    form = rng.randrange(4)
+    if form == 0:
+        return rng.choice(("true", "false", f"{rng.randint(-2, 2)} < {rng.randint(-2, 2)}"))
+    if form == 1 and len(names) >= 2:  # two variables compared
+        a, b = rng.sample(names, 2)
+        return f"{a} {rng.choice(CMPS)} {b}"
+    arith = _chain(rng, rng.randint(1, 4), ("+", "-", "*"), lambda: _operand(rng, names))
+    return f"{arith} {rng.choice(CMPS)} {_operand(rng, names)}"
+
+
+def _pred(rng: random.Random, names: list[str], depth: int = 2) -> str:
+    """A predicate that reads only names: constants, comparisons,
+    arithmetic, not, => and long and/or chains."""
+    form = rng.randrange(4) if depth else 0
+    if form == 0:
+        return _atom(rng, names)
+    if form == 1:
+        return f"not ({_pred(rng, names, depth - 1)})"
+    if form == 2:
+        return f"({_pred(rng, names, depth - 1)}) => ({_pred(rng, names, depth - 1)})"
+    return _chain(rng, rng.randint(2, 8), ("and", "or"), lambda: (
+        _atom(rng, names) if rng.random() < 0.7 else f"({_pred(rng, names, depth - 1)})"
+    ))
+
+
+def _pick(rng: random.Random, names: list[str]) -> list[str]:
+    """0-3 of the names, for a predicate to read."""
+    return rng.sample(names, rng.randint(0, min(3, len(names))))
+
+
+def _differential_model(rng: random.Random) -> str:
+    """A system carved by an invariant and a refinement carved by a gluing,
+    each with 1-5 variables (some with a negative lower bound), identity
+    events whose guards read 0-3 of them, and properties over them."""
+
+    def block(prefix: str) -> tuple[list[str], list[str], str]:
+        """The names, their declarations, and a predicate that holds on
+        some state: the first variable at its lower bound."""
+        names, lines = [], []
+        for k in range(rng.randint(1, 5)):
+            lo = rng.randint(-2, 1)
+            names.append(f"{prefix}{k}")
+            lines.append(f"  var {prefix}{k} : {lo}..{lo + rng.randint(1, 2)}")
+        return names, lines, f"{names[0]} = {lines[0].split()[3].split('..')[0]}"
+
+    def events(names: list[str], refines: list[str]) -> list[str]:
+        return [
+            f"  event {names[0]}e{k}{f' refines {r}' if r else ''} when "
+            f"{_pred(rng, _pick(rng, names))} then {names[0]} := {names[0]} end"
+            for k, r in enumerate(refines)
+        ]
+
+    def properties(owner: str, names: list[str], event: str) -> list[str]:
+        kinds = ("ensures helpful {" + event + "}", "leadsto", "unless")
+        return [
+            f"property {owner}P{k} {kind} from {_pred(rng, _pick(rng, names))} "
+            f"to {_pred(rng, _pick(rng, names))}"
+            for k, kind in enumerate(kinds)
+        ]
+
+    a, a_lines, a_kept = block("a")
+    c, c_lines, c_kept = block("c")
+    carve = _atom(rng, rng.sample(a, min(2, len(a))))
+    glue = _atom(rng, [rng.choice(a), rng.choice(c)])
+    text = [
+        "system s", *a_lines, f"  invariant {carve} or {a_kept}", *events(a, ["", ""]), "end",
+        *properties("s", a, "a0e0"),
+        "refinement r refines s", *c_lines, f"  gluing {glue} or {c_kept}",
+        *events(c, ["a0e0", "a0e1", "skip"]), "end",
+        *properties("r", c, "c0e2"),
+    ]
+    return "\n".join(text) + "\n"
+
+
+def _names(node) -> set[str]:
+    """The variable names a predicate or expression tree reads."""
+    if isinstance(node, EVar):
+        return {node.name}
+    if isinstance(node, tuple):
+        return set().union(*map(_names, node))
+    if isinstance(node, (Pred, Expr)):
+        return set().union(*(_names(getattr(node, f.name)) for f in dataclasses.fields(node)))
+    return set()
+
+
+def test_predicate_sets_match_a_per_state_reference(monkeypatch):
+    # every guard and property set equals eval_pred over each state's
+    # binding; a predicate is evaluated once per valuation of the names it
+    # reads when those are fewer than the states, else once per state
+    from faircheck import elaborator
+
+    rng = random.Random(27)
+    calls: dict[int, int] = {}
+
+    def counted(p, env):
+        calls[id(p)] = calls.get(id(p), 0) + 1
+        return eval_pred(p, env)
+
+    monkeypatch.setattr(elaborator, "eval_pred", counted)
+    paths = {"table": 0, "per-state": 0}
+    carved = 0
+    for _ in range(60):
+        text = _differential_model(rng)
+        doc = parse_document(text).document
+        calls.clear()
+        model = elaborate(doc)
+        owners = {"s": model.systems["s"], "r": model.refinements["r"].concrete}
+        cases = [
+            (owners[d.name], e.guard, owners[d.name].system.events[e.name].guard)
+            for d in (*doc.systems, *doc.refinements) for e in d.events
+        ]
+        for pdecl in doc.properties:
+            value = model.properties[pdecl.name].value
+            sets = (value.p, value.q) if pdecl.kind == "ensures" else (value.lhs, value.rhs)
+            owner = owners[pdecl.source]
+            cases += [(owner, pdecl.frm, sets[0]), (owner, pdecl.to, sets[1])]
+        for owner in owners.values():
+            carved += owner.space.size < math.prod(v.hi - v.lo + 1 for v in owner.variables)
+        for owner, pred, got in cases:
+            n = owner.space.size
+            expected = tuple(i for i in range(n) if eval_pred(pred, owner.binding(i)))
+            assert got.members() == expected, text
+            width = {v.name: v.hi - v.lo + 1 for v in owner.variables}
+            valuations = math.prod(width[name] for name in _names(pred))
+            path = "table" if valuations < n else "per-state"
+            assert calls[id(pred)] == (valuations if path == "table" else n), text
+            paths[path] += 1
+    assert paths["table"] > 50 and paths["per-state"] > 50, paths
+    assert carved > 30, carved
+
+
+def test_token_ring_predicates_cost_one_walk_per_valuation_read(monkeypatch):
+    # 4 processes, 324 states, 16 guards and 12 properties, each reading
+    # one or two of the five variables: a per-state walk made 23868
+    # eval_pred calls (recursion included), one walk per valuation read 740
+    from faircheck import elaborator
+
+    model = load_workloads().token_model(random.Random(0), 4, "none")
+    doc = parse_document(model.text()).document
+    calls = [0]
+
+    def counted(p, env):
+        calls[0] += 1
+        return eval_pred(p, env)
+
+    monkeypatch.setattr(elaborator, "eval_pred", counted)
+    assert elaborate(doc).state_count == 324
+    assert 0 < calls[0] <= 1000, calls[0]
+
+
+def test_event_leaving_the_space_names_the_lowest_state():
+    # the guard reads x alone (4 valuations, 12 states); the event leaves
+    # the space from x=2,y=2 (the invariant), x=3,y=0 and x=3,y=1 (the range)
+    source = (
+        "system s\n var x : 0..3\n var y : 0..2\n invariant x + y <= 4\n"
+        " event e when x >= 2 then x := x + 1 end\nend\n"
+    )
+    with pytest.raises(ElaborationError) as err:
+        _elab(source)
+    assert str(err.value) == (
+        "s.e: from state x=2,y=2 the event reaches x=3,y=2, which violates the invariant"
+    )
