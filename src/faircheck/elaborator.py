@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .commands import MAX_CHECK_STATES, Command, Guard, Prim, conjunctivity_check
 from .obligations import EngineDefect, EnsuresProperty, EventSystem, ModelError
 from .parser import (
+    BlockDecl,
     EBin,
     EInt,
     ENeg,
@@ -37,8 +38,6 @@ from .parser import (
     PNot,
     POr,
     Pred,
-    RefinementDecl,
-    SystemDecl,
     UAny,
     UAssign,
     UChoose,
@@ -232,9 +231,7 @@ def _check_updates(
         assigned.add(u.var)
 
 
-def _check_block(
-    decl: SystemDecl | RefinementDecl, abstract: frozenset[str]
-) -> frozenset[str]:
+def _check_block(decl: BlockDecl, abstract: frozenset[str]) -> frozenset[str]:
     """The static rules of one block; returns its variable names. abstract
     holds the refined system's variable names, empty for a system."""
     state = frozenset(v.name for v in decl.variables)
@@ -248,12 +245,9 @@ def _check_block(
     for v in decl.variables:
         if v.hi < v.lo:
             raise ElaborationError(f"{decl.name}: empty range for variable {v.name!r}")
-    if isinstance(decl, RefinementDecl):
-        if not decl.gluings:
-            raise ElaborationError(f"{decl.name}: a refinement needs a gluing predicate")
-        _check_reads(state | abstract, decl.name, *decl.gluings)
-    else:
-        _check_reads(state, decl.name, *decl.invariants)
+    if decl.refined is not None and not decl.conditions:
+        raise ElaborationError(f"{decl.name}: a refinement needs a gluing predicate")
+    _check_reads(state | abstract, decl.name, *decl.conditions)
     if not decl.events:
         raise ElaborationError(f"{decl.name}: no events declared")
     _check_unique((e.name for e in decl.events), f"{decl.name}: duplicate event")
@@ -409,7 +403,7 @@ def _successor_bindings(
 
 
 def _elaborate_block(
-    decl: SystemDecl | RefinementDecl,
+    decl: BlockDecl,
     abstract: ElaboratedSystem | None,
     abstract_envs: list[dict[str, int]],
     max_states: int,
@@ -430,7 +424,7 @@ def _elaborate_block(
     if abstract is None:
         for key in box:
             env = dict(zip(names, key))
-            if all(eval_pred(inv, env) for inv in decl.invariants):
+            if all(eval_pred(inv, env) for inv in decl.conditions):
                 valuations.append(key)
                 envs.append(env)
         if not valuations:
@@ -449,7 +443,7 @@ def _elaborate_block(
             partners = [
                 x_index
                 for x_index, xval in enumerate(abstract_envs)
-                if all(eval_pred(g, {**xval, **env}) for g in decl.gluings)
+                if all(eval_pred(g, {**xval, **env}) for g in decl.conditions)
             ]
             if partners:
                 gluing_pairs += [(len(valuations), x_index) for x_index in partners]

@@ -43,8 +43,9 @@ checks which names a construct reads and assigns.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 KEYWORDS = {
     "system", "refinement", "property", "proof", "var", "invariant", "event",
@@ -70,15 +71,6 @@ class Span:
 
 
 @dataclass(frozen=True)
-class Diagnostic:
-    span: Span
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.span}: error: {self.message}"
-
-
-@dataclass(frozen=True)
 class Token:
     kind: str  # NAME | INT | symbol text | keyword text | EOF
     text: str
@@ -86,8 +78,11 @@ class Token:
 
 
 class ParseError(Exception):
+    """A positioned error of the text: the lexer's, the parser's, or "no
+    system declared"."""
+
     def __init__(self, span: Span, message: str):
-        super().__init__(f"{span}: {message}")
+        super().__init__(f"{span}: error: {message}")
         self.span = span
         self.message = message
 
@@ -102,9 +97,9 @@ class NestingError(ParseError):
 MAX_NESTING = 100
 
 
-def _lex(text: str) -> tuple[list[Token], list[Diagnostic]]:
+def _lex(text: str) -> tuple[list[Token], list[ParseError]]:
     tokens: list[Token] = []
-    problems: list[Diagnostic] = []
+    problems: list[ParseError] = []
     line, col, i = 1, 1, 0
     n = len(text)
     while i < n:
@@ -151,7 +146,7 @@ def _lex(text: str) -> tuple[list[Token], list[Diagnostic]]:
             col += j - i
             i = j
             continue
-        problems.append(Diagnostic(span, f"unexpected character {ch!r}"))
+        problems.append(ParseError(span, f"unexpected character {ch!r}"))
         i += 1
         col += 1
     tokens.append(Token("EOF", "", Span(line, col)))
@@ -274,20 +269,15 @@ class EventDecl:
 
 
 @dataclass(frozen=True)
-class SystemDecl:
-    name: str
-    variables: tuple[VarDecl, ...]
-    invariants: tuple[Pred, ...]
-    events: tuple[EventDecl, ...]
-    span: Span
+class BlockDecl:
+    """A system (refined is None), whose conditions are its invariants, or a
+    refinement of the system named refined, whose conditions are its
+    gluings."""
 
-
-@dataclass(frozen=True)
-class RefinementDecl:
     name: str
-    refined: str
+    refined: str | None
     variables: tuple[VarDecl, ...]
-    gluings: tuple[Pred, ...]
+    conditions: tuple[Pred, ...]
     events: tuple[EventDecl, ...]
     span: Span
 
@@ -323,8 +313,8 @@ class ProofDecl:
 
 @dataclass(frozen=True)
 class ModelDocument:
-    systems: tuple[SystemDecl, ...]
-    refinements: tuple[RefinementDecl, ...]
+    systems: tuple[BlockDecl, ...]
+    refinements: tuple[BlockDecl, ...]
     properties: tuple[PropertyDecl, ...]
     proofs: tuple[ProofDecl, ...]
 
@@ -332,7 +322,7 @@ class ModelDocument:
 @dataclass
 class ParseResult:
     document: ModelDocument | None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[ParseError] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -342,6 +332,9 @@ class ParseResult:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+_COMPARISONS = ("=", "/=", "!=", "<", "<=", ">", ">=")
 
 
 class _Parser:
@@ -362,6 +355,10 @@ class _Parser:
     def at(self, *kinds: str) -> bool:
         return self.peek().kind in kinds
 
+    def accept(self, *kinds: str) -> Token | None:
+        """The next token, consumed, when it is one of kinds; else None."""
+        return self.advance() if self.at(*kinds) else None
+
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
@@ -371,14 +368,26 @@ class _Parser:
     def name(self) -> str:
         return self.expect("NAME").text
 
-    def enter(self) -> None:
-        """Open one nesting level; the caller closes it with leave()."""
+    @contextlib.contextmanager
+    def nested(self) -> Iterator[None]:
+        """One nesting level around the body, opened at the next token; a
+        level beyond MAX_NESTING is a NestingError there."""
         if self.depth >= MAX_NESTING:
             raise NestingError(self.peek().span, f"nested deeper than {MAX_NESTING} levels")
         self.depth += 1
+        try:
+            yield
+        finally:
+            self.depth -= 1
 
-    def leave(self) -> None:
-        self.depth -= 1
+    def listed(self, item: Callable[[], object]) -> tuple:
+        """"{" item ("," item)* "}"."""
+        self.expect("{")
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        self.expect("}")
+        return tuple(items)
 
     def literal(self) -> int:
         tok = self.expect("INT")
@@ -389,10 +398,7 @@ class _Parser:
             raise ParseError(tok.span, message) from None
 
     def integer(self) -> int:
-        sign = 1
-        if self.at("-"):
-            self.advance()
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         return sign * self.literal()
 
     def bounded_name(self) -> tuple[str, int, int]:
@@ -403,18 +409,21 @@ class _Parser:
         self.expect("..")
         return name, lo, self.integer()
 
+    def conclusion(self) -> tuple[Pred, Pred]:
+        """predicate "to" predicate, after "from"."""
+        frm = self.predicate()
+        self.expect("to")
+        return frm, self.predicate()
+
     # -- predicates and expressions --
 
     def predicate(self) -> Pred:
         left = self.disjunction()
-        if self.at("=>"):
-            self.enter()
+        if not self.at("=>"):
+            return left
+        with self.nested():
             self.advance()
-            try:
-                return PImp(left, self.predicate())
-            finally:
-                self.leave()
-        return left
+            return PImp(left, self.predicate())
 
     def disjunction(self) -> Pred:
         return self.connective(self.conjunction, "or", POr)
@@ -424,57 +433,46 @@ class _Parser:
 
     def connective(self, operand: Callable[[], Pred], word: str, node: type) -> Pred:
         operands = [operand()]
-        while self.at(word):
-            self.advance()
+        while self.accept(word):
             operands.append(operand())
         return operands[0] if len(operands) == 1 else node(tuple(operands))
 
     def negation(self) -> Pred:
-        if self.at("not"):
-            self.enter()
+        if not self.at("not"):
+            return self.atom_pred()
+        with self.nested():
             self.advance()
-            try:
-                return PNot(self.negation())
-            finally:
-                self.leave()
-        return self.atom_pred()
+            return PNot(self.negation())
 
     def atom_pred(self) -> Pred:
-        if self.at("true"):
-            self.advance()
+        if self.accept("true"):
             return PBool(True)
-        if self.at("false"):
-            self.advance()
+        if self.accept("false"):
             return PBool(False)
         if self.at("("):
             # could be a parenthesized predicate or the start of an
             # arithmetic comparison; try the predicate reading first
             saved = self.pos
-            self.enter()
             try:
-                self.advance()
-                inner = self.predicate()
-                self.expect(")")
-                if self.at("=", "/=", "!=", "<", "<=", ">", ">=", "+", "-", "*"):
-                    raise ParseError(self.peek().span, "arithmetic context")
-                return inner
+                with self.nested():
+                    self.advance()
+                    inner = self.predicate()
+                    self.expect(")")
+                    if self.at(*_COMPARISONS, "+", "-", "*"):
+                        raise ParseError(self.peek().span, "arithmetic context")
+                    return inner
             except NestingError:
                 raise
             except ParseError:
                 self.pos = saved
-            finally:
-                self.leave()
         return self.comparison()
 
     def comparison(self) -> Pred:
         left = self.expr()
-        tok = self.peek()
-        if tok.kind in ("=", "/=", "!=", "<", "<=", ">", ">="):
-            self.advance()
-            right = self.expr()
-            op = "/=" if tok.kind == "!=" else tok.kind
-            return PCmp(op, left, right)
-        raise ParseError(tok.span, "expected a comparison operator")
+        tok = self.accept(*_COMPARISONS)
+        if tok is None:
+            raise ParseError(self.peek().span, "expected a comparison operator")
+        return PCmp("/=" if tok.kind == "!=" else tok.kind, left, self.expr())
 
     def expr(self) -> Expr:
         return self.chain(self.term, ("+", "-"))
@@ -485,45 +483,37 @@ class _Parser:
     def chain(self, operand: Callable[[], Expr], ops: tuple[str, ...]) -> Expr:
         first = operand()
         rest = []
-        while self.at(*ops):
-            rest.append((self.advance().kind, operand()))
+        while tok := self.accept(*ops):
+            rest.append((tok.kind, operand()))
         return EBin(first, tuple(rest)) if rest else first
 
     def factor(self) -> Expr:
         tok = self.peek()
         if tok.kind == "INT":
             return EInt(self.literal())
-        if tok.kind == "NAME":
-            self.advance()
+        if self.accept("NAME"):
             return EVar(tok.text)
         if tok.kind in ("-", "("):
-            self.enter()
-            try:
+            with self.nested():
                 self.advance()
                 if tok.kind == "-":
                     return ENeg(self.factor())
                 inner = self.expr()
                 self.expect(")")
                 return inner
-            finally:
-                self.leave()
         raise ParseError(tok.span, f"expected an expression, found {tok.text or 'end of file'!r}")
 
     # -- updates --
 
     def updates(self) -> tuple[Update, ...]:
         out = [self.update()]
-        while self.at(";"):
-            self.advance()
-            if self.at("end"):
-                break
+        while self.accept(";") and not self.at("end"):
             out.append(self.update())
         return tuple(out)
 
     def update(self) -> Update:
         if self.at("any"):
-            self.enter()
-            try:
+            with self.nested():
                 self.advance()
                 var, lo, hi = self.bounded_name()
                 self.expect("where")
@@ -532,18 +522,9 @@ class _Parser:
                 inner = self.updates()
                 self.expect("end")
                 return UAny(var, lo, hi, where, inner)
-            finally:
-                self.leave()
         var = self.name()
-        if self.at("::"):
-            self.advance()
-            self.expect("{")
-            options = [self.expr()]
-            while self.at(","):
-                self.advance()
-                options.append(self.expr())
-            self.expect("}")
-            return UChoose(var, tuple(options))
+        if self.accept("::"):
+            return UChoose(var, self.listed(self.expr))
         self.expect(":=")
         return UAssign(var, self.expr())
 
@@ -559,11 +540,7 @@ class _Parser:
         refines = None
         if concrete:
             self.expect("refines")
-            if self.at("skip"):
-                self.advance()
-                refines = "skip"
-            else:
-                refines = self.name()
+            refines = "skip" if self.accept("skip") else self.name()
         self.expect("when")
         guard = self.predicate()
         self.expect("then")
@@ -571,7 +548,7 @@ class _Parser:
         self.expect("end")
         return EventDecl(name, guard, updates, span, refines)
 
-    def block_decl(self) -> SystemDecl | RefinementDecl:
+    def block_decl(self) -> BlockDecl:
         """A system, or a refinement of a named system: var, invariant (gluing
         in a refinement) and event declarations in any order, then "end"."""
         head = self.advance()
@@ -587,8 +564,7 @@ class _Parser:
         while not self.at("end"):
             if self.at("var"):
                 variables.append(self.var_decl())
-            elif self.at(condition):
-                self.advance()
+            elif self.accept(condition):
                 conditions.append(self.predicate())
             elif self.at("event"):
                 events.append(self.event_decl(concrete=refined is not None))
@@ -598,57 +574,35 @@ class _Parser:
                     tok.span, f"expected var, {condition}, event or end, found {tok.text!r}"
                 )
         self.expect("end")
-        body = (tuple(variables), tuple(conditions), tuple(events), head.span)
-        if refined is None:
-            return SystemDecl(name, *body)
-        return RefinementDecl(name, refined, *body)
+        return BlockDecl(
+            name, refined, tuple(variables), tuple(conditions), tuple(events), head.span
+        )
 
     def property_decl(self, source: str) -> PropertyDecl:
         span = self.expect("property").span
         name = self.name()
-        helpful: tuple[str, ...] = ()
-        if self.at("ensures"):
-            self.advance()
-            self.expect("helpful")
-            self.expect("{")
-            names = [self.name()]
-            while self.at(","):
-                self.advance()
-                names.append(self.name())
-            self.expect("}")
-            helpful = tuple(names)
-            kind = "ensures"
-        elif self.at("leadsto"):
-            self.advance()
-            kind = "leadsto"
-        elif self.at("unless"):
-            self.advance()
-            kind = "unless"
-        else:
+        tok = self.accept("ensures", "leadsto", "unless")
+        if tok is None:
             raise ParseError(self.peek().span, "expected ensures, leadsto or unless")
+        helpful: tuple[str, ...] = ()
+        if tok.kind == "ensures":
+            self.expect("helpful")
+            helpful = self.listed(self.name)
         self.expect("from")
-        frm = self.predicate()
-        self.expect("to")
-        to = self.predicate()
-        return PropertyDecl(name, kind, helpful, source, frm, to, span)
+        return PropertyDecl(name, tok.kind, helpful, source, *self.conclusion(), span)
 
     def step_decl(self) -> StepDecl:
         span = self.expect("step").span
         name = self.name()
-        tok = self.peek()
-        if tok.kind not in ("brl", "tra", "dsj", "psp", "can", "thlto"):
+        rule = self.accept("brl", "tra", "dsj", "psp", "can", "thlto")
+        if rule is None:
+            tok = self.peek()
             raise ParseError(tok.span, f"expected a rule name, found {tok.text!r}")
-        rule = self.advance().kind
         refs: list[str] = []
         while self.at("NAME"):
             refs.append(self.name())
-        frm = to = None
-        if self.at("from"):
-            self.advance()
-            frm = self.predicate()
-            self.expect("to")
-            to = self.predicate()
-        return StepDecl(name, rule, tuple(refs), frm, to, span)
+        frm, to = self.conclusion() if self.accept("from") else (None, None)
+        return StepDecl(name, rule.kind, tuple(refs), frm, to, span)
 
     def proof_decl(self) -> ProofDecl:
         span = self.expect("proof").span
@@ -672,8 +626,8 @@ def parse_document(text: str) -> ParseResult:
     top-level declaration after an error."""
     tokens, diagnostics = _lex(text)
     parser = _Parser(tokens)
-    systems: list[SystemDecl] = []
-    refinements: list[RefinementDecl] = []
+    systems: list[BlockDecl] = []
+    refinements: list[BlockDecl] = []
     properties: list[PropertyDecl] = []
     proofs: list[ProofDecl] = []
     current_source = ""
@@ -681,7 +635,7 @@ def parse_document(text: str) -> ParseResult:
         try:
             if parser.at("system", "refinement"):
                 decl = parser.block_decl()
-                (systems if isinstance(decl, SystemDecl) else refinements).append(decl)
+                (systems if decl.refined is None else refinements).append(decl)
                 current_source = decl.name
             elif parser.at("property"):
                 if not current_source:
@@ -696,12 +650,12 @@ def parse_document(text: str) -> ParseResult:
                     f"expected system, refinement, property or proof, found {tok.text!r}",
                 )
         except ParseError as err:
-            diagnostics.append(Diagnostic(err.span, err.message))
+            diagnostics.append(err.with_traceback(None))  # holds no parser frames
             parser.advance()
             while not parser.at("EOF", *_TOP_LEVEL):
                 parser.advance()
     if not systems and not diagnostics:
-        diagnostics.append(Diagnostic(Span(1, 1), "no system declared"))
+        diagnostics.append(ParseError(Span(1, 1), "no system declared"))
     if diagnostics:
         return ParseResult(None, diagnostics)
     document = ModelDocument(

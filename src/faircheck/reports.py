@@ -118,8 +118,11 @@ class ReportDocument:
         for item in self.items:
             line = f"{item['id']:<28} {item['verdict']}"
             if item["witnesses"]:
-                shown = ", ".join(w["state"] for w in item["witnesses"][:4])
-                line += f"  [{shown}]"
+                shown = [w["state"] for w in item["witnesses"][:4]]
+                more = item.get("witness_count", len(item["witnesses"])) - len(shown)
+                if more:
+                    shown.append(f"+{more} more")
+                line += f"  [{', '.join(shown)}]"
             lines.append(line)
             if "narrative" in item and item["verdict"] != "pass":
                 lines.append(f"    {item['narrative']}")

@@ -709,7 +709,26 @@ def test_json_witnesses_are_bounded_and_counted(capsys, tmp_path):
         assert entry["witness_count"] == 299
         assert [w["bindings"]["x"] for w in entry["witnesses"]] == list(range(100))
     code, out = _run(capsys, "check", str(model))
-    assert f"{'WF1:P':<28} fail  [x=0, x=1, x=2, x=3]" in out.splitlines()
+    assert f"{'WF1:P':<28} fail  [x=0, x=1, x=2, x=3, +295 more]" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "top, shown",
+    [(5, "x=0, x=1, x=2, x=3"), (6, "x=0, x=1, x=2, x=3, +1 more")],
+    ids=["four", "five"],
+)
+def test_text_witnesses_count_the_unshown(capsys, tmp_path, top, shown):
+    # WF1 and ENS fail on x = 0..top-2; a text line shows the first four
+    # witnesses and counts the others
+    model = tmp_path / "chain.fb"
+    model.write_text(
+        f"system chain\n var x : 0..{top}\n event inc when x < {top} then x := x + 1 end\nend\n"
+        f"property P ensures helpful {{inc}} from x < {top} to x = {top}\n"
+    )
+    code, out = _run(capsys, "check", str(model))
+    assert code == 1
+    for rid in ("WF1:P", "ENS:P"):
+        assert f"{rid:<28} fail  [{shown}]" in out.splitlines()
 
 
 # done is disabled only at x = 1999, so the lasso's cycle walks from x = 0
@@ -1010,6 +1029,8 @@ def _nested(depth: int, pred: str) -> str:
         # the limit is reached at "not", which only the predicate reading
         # parses; the arithmetic reading must not replace the diagnostic
         pytest.param(_nested(100, "not x < 3"), "x = 0", "3:118", id="not"),
+        # every level abandons its predicate reading for the arithmetic one
+        pytest.param(_nested(101, "x + 1") + " = 2", "x = 0", "3:118", id="arithmetic"),
     ],
 )
 def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, guard, frm, span):
@@ -1022,10 +1043,17 @@ def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, guard, frm, span):
     assert f"{path}:{span}: error: nested deeper than 100 levels" in err
 
 
-@pytest.mark.parametrize("depth", [50, 100])
-def test_nesting_within_the_limit_is_checked(tmp_path, capsys, depth):
+@pytest.mark.parametrize(
+    "guard, frm",
+    [
+        pytest.param(_nested(50, "x < 3"), _nested(50, "x = 0"), id="50"),
+        pytest.param(_nested(100, "x < 3"), _nested(100, "x = 0"), id="100"),
+        pytest.param("x < 3", _nested(100, "x + 1") + " = 2", id="arithmetic"),
+    ],
+)
+def test_nesting_within_the_limit_is_checked(tmp_path, capsys, guard, frm):
     path = tmp_path / "nested.fb"
-    path.write_text(NESTED.format(guard=_nested(depth, "x < 3"), frm=_nested(depth, "x = 0")))
+    path.write_text(NESTED.format(guard=guard, frm=frm))
     code, out = _run(capsys, "check", str(path))
     assert code == 0
     assert "ENS:P" in out

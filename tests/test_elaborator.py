@@ -114,7 +114,7 @@ def test_glued_membership_matches_predicate_reading():
         exists = any(
             eval_pred(pdecl.frm, xval)
             and not eval_pred(pdecl.to, xval)
-            and all(eval_pred(g, {**xval, **yval}) for g in rdecl.gluings)
+            and all(eval_pred(g, {**xval, **yval}) for g in rdecl.conditions)
             for xval in map(ctr.binding, range(ctr.space.size))
         )
         assert exists == (y_index in glued_active)
