@@ -18,6 +18,10 @@ miracle (it establishes every postcondition). Choice is n-ary: it ranges
 over a family of commands, and the empty family is magic. Fair choice runs
 both operands fairly and accepts any proper outcome of either; it shares
 the liberal semantics of plain choice but has a weaker termination demand.
+A choice reads its guarded primitive options (the events of a system) as
+one relation, the union of each option's relation restricted to its guard,
+so its liberal transformer takes one pre-image however many events it
+holds; options of any other form are applied one by one.
 """
 
 from __future__ import annotations
@@ -187,8 +191,13 @@ def liberal_apply(c: Command, r: StateSet) -> StateSet:
         top = space.universe() if r.is_universe() else space.empty()
         return (c.require | top) & liberal_apply(c.body, r)
     if isinstance(c, Choice):
-        mask = space.full_mask
-        for option in c.options:
+        # A guarded primitive option contributes ~(g & pre_rel(~r)), and the
+        # meet of those terms is ~pre_U(~r) for U the union of each rel
+        # restricted to its g: one pre-image for all of them.
+        union, others = _guarded_union(c)
+        full = space.full_mask
+        mask = full & ~union.pre_image_mask(full & ~r.mask)
+        for option in others:
             mask &= liberal_apply(option, r).mask
         return StateSet(space, mask)
     if isinstance(c, Seq):
@@ -196,6 +205,20 @@ def liberal_apply(c: Command, r: StateSet) -> StateSet:
     if isinstance(c, Dovetail):
         return liberal_apply(c.left, r) & liberal_apply(c.right, r)
     raise TypeError(f"unknown command {c!r}")
+
+
+@memo_on_owner
+def _guarded_union(c: Choice) -> tuple[StateRelation, tuple[Command, ...]]:
+    """The union of the choice's guarded primitive options, each relation
+    restricted to its guard, and the options of any other form."""
+    parts: list[tuple[int, StateRelation]] = []
+    others: list[Command] = []
+    for option in c.options:
+        if isinstance(option, Guard) and isinstance(option.body, Prim):
+            parts.append((option.guard.mask, option.body.rel))
+        else:
+            others.append(option)
+    return StateRelation.union(c.space, c.space, parts), tuple(others)
 
 
 @memo_on_owner

@@ -342,6 +342,9 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        # the name of the last block whose header was read: the owner of
+        # the properties after it, even when its body fails to parse
+        self.owner = ""
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -552,7 +555,7 @@ class _Parser:
         """A system, or a refinement of a named system: var, invariant (gluing
         in a refinement) and event declarations in any order, then "end"."""
         head = self.advance()
-        name = self.name()
+        name = self.owner = self.name()
         refined = None
         if head.kind == "refinement":
             self.expect("refines")
@@ -623,24 +626,24 @@ _TOP_LEVEL = ("system", "refinement", "property", "proof")
 
 def parse_document(text: str) -> ParseResult:
     """Parse a model document; collects diagnostics and recovers at the next
-    top-level declaration after an error."""
+    top-level keyword after an error. That keyword may be the one the error
+    is reported at, unless it begins the declaration that failed."""
     tokens, diagnostics = _lex(text)
     parser = _Parser(tokens)
     systems: list[BlockDecl] = []
     refinements: list[BlockDecl] = []
     properties: list[PropertyDecl] = []
     proofs: list[ProofDecl] = []
-    current_source = ""
     while not parser.at("EOF"):
+        start = parser.pos
         try:
             if parser.at("system", "refinement"):
                 decl = parser.block_decl()
                 (systems if decl.refined is None else refinements).append(decl)
-                current_source = decl.name
             elif parser.at("property"):
-                if not current_source:
+                if not parser.owner:
                     raise ParseError(parser.peek().span, "property appears before any system")
-                properties.append(parser.property_decl(current_source))
+                properties.append(parser.property_decl(parser.owner))
             elif parser.at("proof"):
                 proofs.append(parser.proof_decl())
             else:
@@ -651,7 +654,8 @@ def parse_document(text: str) -> ParseResult:
                 )
         except ParseError as err:
             diagnostics.append(err.with_traceback(None))  # holds no parser frames
-            parser.advance()
+            if parser.pos == start:
+                parser.advance()  # so that recovery cannot stop where it began
             while not parser.at("EOF", *_TOP_LEVEL):
                 parser.advance()
     if not systems and not diagnostics:

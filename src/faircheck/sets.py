@@ -175,9 +175,9 @@ class StateRelation:
     `right` holds the shifts d >= 0 as (d, S_d), `left` the shifts d < 0 as
     (-d, S_d), `columns` maps t to P_t, and the remainder is the edges
     (rest_sources[i], rest_targets[i]), sorted. The layout is canonical for
-    a given edge set and the two sizes, and `pairs` is read off it on
-    demand. `successors` reads one byte per state of each mask, built on
-    its first call.
+    a given edge set and the two sizes, except in a `union`, and `pairs` is
+    read off it on demand. `successors` reads one byte per state of each
+    mask, built on its first call.
     """
 
     __slots__ = (
@@ -206,19 +206,69 @@ class StateRelation:
                 shifts = set()
                 by_target = _by_target(by_shift, shifts)
         columns = {t for t, sources in by_target.items() if len(sources) >= least}
-        masks = sorted((d, _mask_of(by_shift[d])) for d in shifts)
-        self.right = tuple((d, mask) for d, mask in masks if d >= 0)
-        self.left = tuple((-d, mask) for d, mask in masks if d < 0)
-        self.columns = {t: _mask_of(by_target[t]) for t in sorted(columns)}
-        self._column_mask = _mask_of(list(self.columns))
         rest = sorted((s, t) for t, sources in by_target.items() if t not in columns
                       for s in sources)
+        self._store(
+            [(d, _mask_of(by_shift[d])) for d in sorted(shifts)],
+            {t: _mask_of(by_target[t]) for t in sorted(columns)},
+            rest,
+        )
+
+    @classmethod
+    def union(
+        cls,
+        source: StateSpace,
+        target: StateSpace,
+        parts: Iterable[tuple[int, "StateRelation"]],
+    ) -> "StateRelation":
+        """The union of the relations of parts, each restricted to the
+        sources in its guard mask, read off their masks and index arrays:
+        one OR per shift and per target and one filter of each remainder,
+        with no list of pairs. The parts keep their own classes, so one
+        edge may be held by two of them; every query stays exact."""
+        n = source.size
+        shifts: dict[int, int] = {}
+        columns: dict[int, int] = {}
+        rest: set[tuple[int, int]] = set()
+        for guard, rel in parts:
+            if not rel.source.same_as(source):
+                raise SpaceMismatchError(rel.source, source, "unite relations")
+            if not rel.target.same_as(target):
+                raise SpaceMismatchError(rel.target, target, "unite relations")
+            for d, mask in rel.right:
+                shifts[d] = shifts.get(d, 0) | mask & guard
+            for d, mask in rel.left:
+                shifts[-d] = shifts.get(-d, 0) | mask & guard
+            for t, mask in rel.columns.items():
+                columns[t] = columns.get(t, 0) | mask & guard
+            if rel.rest_sources:
+                keep = map(_flags(guard, n).__getitem__, rel.rest_sources)
+                rest.update(compress(zip(rel.rest_sources, rel.rest_targets), keep))
+        self = cls.__new__(cls)
+        self.source = source
+        self.target = target
+        self._store(
+            [(d, shifts[d]) for d in sorted(shifts) if shifts[d]],
+            {t: columns[t] for t in sorted(columns) if columns[t]},
+            sorted(rest),
+        )
+        return self
+
+    def _store(
+        self, masks: list[tuple[int, int]], columns: dict[int, int], rest: list[tuple[int, int]]
+    ) -> None:
+        """Keep the shift masks (d, S_d) ascending in d, the target masks
+        ascending in t and the remainder edges sorted."""
+        self.right = tuple((d, mask) for d, mask in masks if d >= 0)
+        self.left = tuple((-d, mask) for d, mask in masks if d < 0)
+        self.columns = columns
+        self._column_mask = _mask_of(list(columns))
         self.rest_sources = array("q", [s for s, _ in rest])
         self.rest_targets = array("q", [t for _, t in rest])
         domain = _mask_of(self.rest_sources)
         for _, mask in masks:
             domain |= mask
-        for mask in self.columns.values():
+        for mask in columns.values():
             domain |= mask
         self._domain = domain
         self._rows: tuple[tuple[bytes, int, bool], ...] | None = None
@@ -252,7 +302,9 @@ class StateRelation:
         if rest:
             lo = bisect_left(rest, index)
             out += self.rest_targets[lo:bisect_right(rest, index, lo)]
-        out.sort()
+        if len(out) > 1:
+            # a union may hold one edge in two classes
+            out = sorted(set(out))
         return tuple(out)
 
     def successors_mask(self, index: int) -> int:

@@ -8,8 +8,11 @@ simulation reference quantifies over every concrete subset using the raw
 gluing pairs. The pre-image and image references, the structural
 recursion's reading of a primitive command and the successor lists of
 generated systems all walk the raw pairs, so none of them uses the masks
-and index arrays a relation is stored as. The lasso reference reads each
-edge off the events' transformers, not off their relations.
+and index arrays a relation is stored as. The option-by-option
+transformers read a choice as the meet of its options, never as the one
+relation the engine unites its guarded primitives into. The lasso
+reference reads each edge off the events' transformers, not off their
+relations.
 """
 
 from __future__ import annotations
@@ -236,6 +239,67 @@ def has_dovetail(c: Command) -> bool:
     if isinstance(c, Seq):
         return has_dovetail(c.first) or has_dovetail(c.second)
     return False
+
+
+# ---------------------------------------------------------------------------
+# The transformers with a choice read option by option
+# ---------------------------------------------------------------------------
+
+
+def option_liberal(c: Command, r: StateSet) -> StateSet:
+    """The liberal transformer with every choice read as the meet of its
+    options, each guarded primitive through its own guard and the raw pairs
+    of its relation, never as one united relation."""
+    space = c.space
+    if isinstance(c, Skip):
+        return r
+    if isinstance(c, Prim):
+        return StateSet(space, space.full_mask & ~pair_pre_image(c.rel.pairs, (~r).mask))
+    if isinstance(c, Guard):
+        return ~c.guard | option_liberal(c.body, r)
+    if isinstance(c, Precond):
+        top = space.universe() if r.is_universe() else space.empty()
+        return (c.require | top) & option_liberal(c.body, r)
+    if isinstance(c, Choice):
+        out = space.universe()
+        for option in c.options:
+            out = out & option_liberal(option, r)
+        return out
+    if isinstance(c, Seq):
+        return option_liberal(c.first, option_liberal(c.second, r))
+    if isinstance(c, Dovetail):
+        return option_liberal(c.left, r) & option_liberal(c.right, r)
+    raise TypeError(f"unknown command {c!r}")
+
+
+def option_pre(c: Command) -> StateSet:
+    """The termination set, with choices read option by option."""
+    space = c.space
+    if isinstance(c, (Skip, Prim)):
+        return space.universe()
+    if isinstance(c, Guard):
+        return ~c.guard | option_pre(c.body)
+    if isinstance(c, Precond):
+        return c.require & option_pre(c.body)
+    if isinstance(c, Choice):
+        out = space.universe()
+        for option in c.options:
+            out = out & option_pre(option)
+        return out
+    if isinstance(c, Seq):
+        return option_str(c.first, option_pre(c.second))
+    if isinstance(c, Dovetail):
+        pf, pg = option_pre(c.left), option_pre(c.right)
+        return (pf & pg) | (option_grd(c.left) & pf) | (option_grd(c.right) & pg)
+    raise TypeError(f"unknown command {c!r}")
+
+
+def option_str(c: Command, r: StateSet) -> StateSet:
+    return option_liberal(c, r) & option_pre(c)
+
+
+def option_grd(c: Command) -> StateSet:
+    return ~option_str(c, c.space.empty())
 
 
 def ast_system(rng: random.Random, size: int, n_events: int, space_id: str = "u") -> GenSystem:
@@ -638,6 +702,31 @@ def pair_image(pairs: Iterable[tuple[int, int]], mask: int) -> int:
     bits = _bits(mask)
     n = len(bits)
     return _mask({t for s, t in pairs if s < n and bits[s] == "1"})
+
+
+def mixed_relation(
+    rng: random.Random, space: StateSpace, pool: list[tuple[int, int]]
+) -> StateRelation:
+    """A relation of long shifts, shared targets and single edges, with
+    about half of pool: relations drawn from one pool share edges that each
+    may hold in a shift mask, a target mask or its index remainder."""
+    n = space.size
+    pairs = set(rng.sample(pool, len(pool) // 2))
+    for d in rng.sample(range(1 - n, n), min(2, 2 * n - 1)):
+        pairs.update((s, s + d) for s in range(n) if 0 <= s + d < n and rng.random() < 0.5)
+    for t in rng.sample(range(n), min(2, n)):
+        pairs.update((s, t) for s in range(n) if rng.random() < 0.3)
+    pairs.update((rng.randrange(n), rng.randrange(n)) for _ in range(3))
+    return StateRelation(space, space, pairs)
+
+
+def edge_pool(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """One shift, one target and a few single edges over n states."""
+    d, t = rng.randrange(1 - n, n), rng.randrange(n)
+    pool = [(s, s + d) for s in range(n) if 0 <= s + d < n]
+    pool += [(s, t) for s in range(n) if rng.random() < 0.5]
+    pool += [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
+    return pool
 
 
 def kernel_relations(rng: random.Random) -> list[tuple[str, StateRelation]]:

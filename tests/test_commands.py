@@ -26,11 +26,21 @@ from faircheck import (
     str_apply,
     transition_relation,
 )
+from faircheck.elaborator import elaborate
+from faircheck.parser import parse_document
 from helpers import (
+    ROOT,
+    edge_pool,
     has_dovetail,
     kernel_relations,
+    mixed_relation,
     model_relations,
+    option_grd,
+    option_liberal,
+    option_pre,
+    option_str,
     random_command,
+    random_relation,
     random_subset,
     structural_wp,
 )
@@ -175,6 +185,57 @@ def test_choice_does_not_depend_on_the_order_of_its_options():
             r = random_subset(rng, space)
             assert liberal_apply(a, r) == liberal_apply(b, r)
             assert str_apply(a, r) == str_apply(b, r)
+
+
+def _guarded_choice(rng: random.Random, space: StateSpace, depth: int = 2) -> Choice:
+    """A choice of guarded primitives, mostly, mixed with bare primitives,
+    nested choices and random commands (skips, sequences, fair choices)."""
+    pool = edge_pool(rng, space.size)
+    options: list = []
+    for _ in range(rng.randint(0, 6)):
+        roll = rng.random()
+        if roll < 0.5:
+            mixed = rng.random() < 0.5
+            rel = mixed_relation(rng, space, pool) if mixed else random_relation(rng, space)
+            options.append(Guard(random_subset(rng, space), Prim(rel)))
+        elif roll < 0.6:
+            options.append(Prim(mixed_relation(rng, space, pool)))
+        elif roll < 0.75 and depth:
+            options.append(_guarded_choice(rng, space, depth - 1))
+        else:
+            options.append(random_command(rng, space, depth=2))
+    return Choice(space, tuple(options))
+
+
+def test_guarded_choice_matches_the_option_by_option_reference():
+    rng = random.Random(25)
+    for size in (1, 2, 3, 5, 8, 40):
+        space = StateSpace("u", size)
+        for _ in range(40 if size < 40 else 8):
+            choice = _guarded_choice(rng, space)
+            assert pre_of(choice) == option_pre(choice)
+            assert grd_of(choice) == option_grd(choice)
+            posts = [space.empty(), space.universe()]
+            posts += [random_subset(rng, space) for _ in range(4)]
+            for r in posts:
+                assert liberal_apply(choice, r) == option_liberal(choice, r), (size, r)
+                assert str_apply(choice, r) == option_str(choice, r), (size, r)
+
+
+def test_whole_system_str_takes_one_pre_image(monkeypatch):
+    # at the per-option loop this takes one pre-image per event, 12 here
+    document = parse_document((ROOT / "models" / "tokens.fb").read_text()).document
+    system = elaborate(document).systems["tokens"].system
+    whole = system.choice(frozenset(system.events))
+    assert len(whole.options) == 12
+    calls = []
+    real = StateRelation.pre_image_mask
+    monkeypatch.setattr(
+        StateRelation, "pre_image_mask", lambda rel, mask: calls.append(rel) or real(rel, mask)
+    )
+    post = system.space.subset(range(0, system.space.size, 2))
+    assert str_apply(whole, post) == option_str(whole, post)
+    assert len(calls) == 1
 
 
 def test_dovetail_guard_law_random():

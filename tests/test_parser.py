@@ -87,6 +87,43 @@ def test_property_before_system_is_an_error():
     assert any("before any system" in d.message for d in result.diagnostics)
 
 
+def _errors(source: str) -> list[tuple[int, str]]:
+    return [(d.span.line, d.message) for d in parse_document(source).diagnostics]
+
+
+def test_recovery_resumes_at_the_keyword_an_error_is_found_at():
+    # the block lacks its end and the proof its steps: each error is found
+    # at the keyword of the next declaration, which is then read
+    source = (
+        "system s\n var x : 0..1\n event e when x = 0 then x := 1 end\n"
+        "property P leadsto frm x = 0 to x = 1\n"
+        "proof p goal P end\n"
+        "property Q unless from x = 0 x = 1\n"
+    )
+    assert _errors(source) == [
+        (4, "expected var, invariant, event or end, found 'property'"),
+        (4, "expected 'from', found 'frm'"),
+        (5, "proof 'p' has no steps"),
+        (6, "expected 'to', found 'x'"),
+    ]
+
+
+def test_recovery_moves_past_an_error_at_a_declarations_first_keyword():
+    source = "property P leadsto from true to true\n" * 3 + "system"
+    before = "property appears before any system"
+    assert _errors(source) == [
+        (1, before), (2, before), (3, before), (4, "expected 'NAME', found 'end of file'")
+    ]
+
+
+def test_a_property_after_a_failed_block_belongs_to_that_block():
+    source = "system s\n var y : 0..\nend\nproperty P leadsto frm y = 0 to y = 1\n"
+    assert _errors(source) == [
+        (3, "expected 'INT', found 'end'"),
+        (4, "expected 'from', found 'frm'"),
+    ]
+
+
 def test_predicate_precedence_and_parens():
     source = (
         "system s\n var x : 0..3\n var y : 0..3\n"

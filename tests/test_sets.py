@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
+import operator
 import random
 import tracemalloc
 import weakref
@@ -9,7 +11,14 @@ import weakref
 import pytest
 
 from faircheck import SpaceMismatchError, StateRelation, StateSet, StateSpace
-from helpers import kernel_relations, model_relations, pair_image, pair_pre_image
+from helpers import (
+    edge_pool,
+    kernel_relations,
+    mixed_relation,
+    model_relations,
+    pair_image,
+    pair_pre_image,
+)
 
 
 def test_complement_of_empty_is_universe():
@@ -257,6 +266,63 @@ def test_pairs_are_canonical_for_an_edge_set():
         # a single edge is kept as an index pair and read back with its target
         assert StateRelation(space, space, [(0, 1)]).pairs == {(0, 1)}
         assert StateRelation(space, space, [(0, 2)]).pairs == {(0, 2)}
+
+
+def _stored_edges(rel: StateRelation) -> int:
+    """Edges held by the masks and the index remainder, counted per class."""
+    masks = [m for _, m in rel.right + rel.left] + list(rel.columns.values())
+    return sum(m.bit_count() for m in masks) + len(rel.rest_sources)
+
+
+def test_union_matches_the_relation_of_its_restricted_pairs():
+    rng = random.Random(30)
+    shared = totals = 0
+    for n in (1, 2, 5, 70, 200, 4000):
+        space = StateSpace(f"u{n}", n)
+        for _ in range(12 if n < 4000 else 2):
+            pool = edge_pool(rng, n)
+            parts = [
+                (rng.getrandbits(n) if rng.random() < 0.8 else space.full_mask,
+                 mixed_relation(rng, space, pool))
+                for _ in range(rng.randint(0, 4))
+            ]
+            if rng.random() < 0.2:
+                parts.append((space.full_mask, StateRelation.identity(space)))
+            union = StateRelation.union(space, space, parts)
+            pairs = {(s, t) for g, rel in parts for s, t in rel.pairs if g >> s & 1}
+            expect = StateRelation(space, space, pairs)
+            assert union.pairs == expect.pairs == pairs, n
+            for s in range(n):
+                assert union.successors(s) == expect.successors(s), (n, s)
+            for mask in _probe_masks(rng, space):
+                assert union.pre_image_mask(mask) == pair_pre_image(pairs, mask), (n, mask)
+            assert union.domain() == expect.domain(), n
+            assert union.is_total() == expect.is_total(), n
+            # an edge held by two parts in classes of different kinds
+            shared += _stored_edges(union) > len(pairs)
+            totals += union.is_total()
+    assert shared and totals
+
+
+def test_union_reads_no_pairs(monkeypatch):
+    space = StateSpace("u", 300)
+    rng = random.Random(31)
+    pool = edge_pool(rng, space.size)
+    parts = [(rng.getrandbits(300), mixed_relation(rng, space, pool)) for _ in range(3)]
+    fail = lambda *args: pytest.fail("the union read or built a pair list")
+    monkeypatch.setattr(StateRelation, "pairs", property(fail))
+    monkeypatch.setattr(StateRelation, "__init__", fail)
+    union = StateRelation.union(space, space, parts)
+    assert union.domain().mask == functools.reduce(
+        operator.or_, (g & rel.domain().mask for g, rel in parts)
+    )
+
+
+def test_union_checks_its_spaces():
+    a, b = StateSpace("a", 3), StateSpace("b", 3)
+    with pytest.raises(SpaceMismatchError):
+        StateRelation.union(a, a, [(7, StateRelation.identity(b))])
+    assert StateRelation.union(a, a, []).domain().is_empty()
 
 
 def _reference_members(space: StateSpace, mask: int) -> tuple[int, ...]:
